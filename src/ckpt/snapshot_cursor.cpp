@@ -244,7 +244,7 @@ SnapshotResult SnapshotCursor::capture(
       std::vector<std::uint64_t> tPre, tPost;
       {
         // The forced cut is the one place writers feel the checkpoint: the
-        // fence parks newly arriving operations and drains in-flight ones,
+        // fence parks newly arriving operations and waits out in-flight ones,
         // so the cut transaction runs against a near-quiescent map and
         // finishes in a bounded number of attempts. Without it, a
         // whole-map read set under sustained write traffic can starve

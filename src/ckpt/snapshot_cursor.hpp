@@ -8,13 +8,14 @@
 // instants. What makes the assembled image a single linearizable cut is
 // the per-slot dirty-tick certification (docs/checkpoint.md):
 //
-//   round:  sample T1  ->  census drain  ->  stream chunks  ->  sweep Tf
+//   round:  sample T1  ->  synchronize  ->  stream chunks  ->  sweep Tf
 //
 // Every committing update bumps its slot's tick inside the transaction
-// body (before it can commit, seq_cst). The drain forces any update that
-// bumped before T1 to settle before the stream reads; an update that
-// bumped after T1 shows up at the sweep as Tf != T1 and invalidates the
-// slot. So a slot with Tf == T1 had constant content from the drain to the
+// body (before it can commit, seq_cst). A writer whose bump precedes the
+// T1 sample was inside its bracket, so the synchronize() (quiesceOps)
+// waited out its commit before the stream reads; an update that bumped
+// after T1 shows up at the sweep as Tf != T1 and invalidates the slot. So
+// a slot with Tf == T1 had constant content from the synchronize to the
 // sweep — and since ALL slots (including ones streamed in earlier rounds
 // and baseline-clean ones reused from a parent image) are re-checked at
 // the same final sweep, all their constancy windows contain that one sweep
@@ -27,7 +28,8 @@
 // sweep re-certifies the others' windows around C. As a last resort the
 // whole map is scanned in a single transaction. The forced-cut transaction
 // runs behind a brief operation fence (ShardedMap::fencedOpsBegin): new
-// operations park at census entry while in-flight ones drain, so the cut
+// map operations park before entering their bracket while synchronize()
+// waits out the in-flight ones, so the cut
 // cannot be starved by sustained write traffic — without the fence a
 // whole-map read set under a saturating write workload retries forever.
 // Streaming chunks are attempt-bounded for the same reason: a chunk that

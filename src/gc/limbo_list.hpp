@@ -2,11 +2,14 @@
 //
 // Single-consumer design matching the paper: only the maintenance thread
 // retires nodes (it is the only physical remover) and only it collects.
-// Protocol per maintenance traversal:
+// Protocol per maintenance traversal, against the process-wide registry:
 //
-//   list.openEpoch(registry);   // remember list end + thread snapshot
+//   list.openEpoch();   // remember list end + registry snapshot
 //   ... full tree traversal ...
-//   list.tryCollect(registry);  // free the remembered prefix if quiesced
+//   list.tryCollect();  // free the remembered prefix if quiesced
+//
+// Collection never blocks: a maintenance thread must not stall on a
+// mutator (ThreadRegistry::synchronize is the blocking alternative).
 //
 // The paper observes the list stays a small fraction of the tree size; we
 // expose counters so tests and benches can check that.
@@ -39,17 +42,17 @@ class LimboList {
   }
 
   // Starts a collection epoch: nodes retired so far become candidates.
-  void openEpoch(const ThreadRegistry& registry) {
+  void openEpoch() {
     epochEnd_ = items_.size();
-    epochSnapshot_ = registry.snapshot();
+    epochSnapshot_ = ThreadRegistry::instance().snapshot();
     epochOpen_ = true;
   }
 
   // Frees the epoch's candidates when every thread pending at openEpoch has
   // since completed an operation. Returns the number of nodes freed.
-  std::size_t tryCollect(const ThreadRegistry& registry) {
+  std::size_t tryCollect() {
     if (!epochOpen_) return 0;
-    if (!registry.quiescedSince(epochSnapshot_)) return 0;
+    if (!ThreadRegistry::instance().quiescedSince(epochSnapshot_)) return 0;
     std::size_t freed = 0;
     while (freed < epochEnd_ && !items_.empty()) {
       Item item = items_.front();

@@ -1,93 +1,82 @@
 #include "gc/thread_registry.hpp"
 
-#include <unordered_map>
+#include <cassert>
+#include <thread>
 
 namespace sftree::gc {
 
 namespace {
 
-std::uint64_t nextRegistryId() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Per-thread cache: registry id -> slot. Keyed by id (not address) so a new
-// registry reusing a dead one's address never aliases stale entries; slots
-// are shared_ptr-owned so releasing at thread exit is safe even if the
-// registry died first.
-struct SlotCache {
-  std::unordered_map<std::uint64_t, std::shared_ptr<ThreadRegistry::Slot>>
-      slots;
-
-  ~SlotCache() {
-    for (auto& [id, slot] : slots) {
-      slot->pending.store(false, std::memory_order_release);
-      slot->inUse.store(false, std::memory_order_release);
-    }
+// Returns the thread's slot to the registry at thread exit. The thread is
+// outside every bracket by then, so `pending` is already false.
+struct SlotRelease {
+  ~SlotRelease() {
+    if (detail::tSlot == nullptr) return;
+    detail::tSlot->inUse.store(false, std::memory_order_release);
+    detail::tSlot = nullptr;
   }
 };
 
-SlotCache& slotCache() {
-  thread_local SlotCache cache;
-  return cache;
-}
-
 }  // namespace
 
-ThreadRegistry::ThreadRegistry() : id_(nextRegistryId()) {}
-
-ThreadRegistry::Slot& ThreadRegistry::currentSlot() {
-  SlotCache& cache = slotCache();
-  auto it = cache.slots.find(id_);
-  if (it != cache.slots.end()) return *it->second;
-  std::shared_ptr<Slot> s = acquireSlot();
-  Slot& ref = *s;
-  cache.slots.emplace(id_, std::move(s));
-  return ref;
+ThreadRegistry& ThreadRegistry::instance() {
+  static ThreadRegistry* reg = new ThreadRegistry;
+  return *reg;
 }
 
-std::shared_ptr<ThreadRegistry::Slot> ThreadRegistry::acquireSlot() {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& s : slots_) {
-    bool expected = false;
-    if (s->inUse.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-      s->pending.store(false, std::memory_order_release);
-      return s;
+ThreadRegistry::Slot* ThreadRegistry::attachCurrentThread() {
+  thread_local SlotRelease release;
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto& s : slots_) {
+      bool expected = false;
+      if (s->inUse.compare_exchange_strong(expected, true,
+                                           std::memory_order_acq_rel)) {
+        slot = s.get();
+        break;
+      }
+    }
+    if (slot == nullptr) {
+      slots_.push_back(std::make_unique<Slot>());
+      slot = slots_.back().get();
+      slot->inUse.store(true, std::memory_order_relaxed);
     }
   }
-  slots_.push_back(std::make_shared<Slot>());
-  slots_.back()->inUse.store(true, std::memory_order_release);
-  return slots_.back();
+  detail::tSlot = slot;
+  return slot;
 }
 
 ThreadRegistry::Snapshot ThreadRegistry::snapshot() const {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   std::lock_guard<std::mutex> lk(mu_);
   Snapshot snap;
-  snap.reserve(slots_.size());
   for (const auto& s : slots_) {
-    if (!s->inUse.load(std::memory_order_acquire)) continue;
-    snap.push_back(SlotSnapshot{
-        s.get(),
-        s->pending.load(std::memory_order_acquire),
-        s->completed.load(std::memory_order_acquire),
-    });
+    if (!s->pending.load(std::memory_order_acquire)) continue;
+    snap.push_back(
+        SlotSnapshot{s.get(), s->completed.load(std::memory_order_acquire)});
   }
   return snap;
 }
 
 bool ThreadRegistry::quiescedSince(const Snapshot& snap) const {
   for (const SlotSnapshot& e : snap) {
-    if (!e.pending) continue;  // had no operation in flight at snapshot time
     if (e.slot->completed.load(std::memory_order_acquire) > e.completed) {
       continue;  // that operation (at least) has finished since
     }
     if (!e.slot->pending.load(std::memory_order_acquire)) {
-      continue;  // finished and no new operation started
+      continue;  // finished between the two loads, no new one started
     }
     return false;
   }
   return true;
+}
+
+void ThreadRegistry::synchronize() const {
+  assert(bracketDepth() == 0 &&
+         "synchronize() inside a bracket would wait on itself");
+  const Snapshot snap = snapshot();
+  while (!quiescedSince(snap)) std::this_thread::yield();
 }
 
 std::size_t ThreadRegistry::slotCountForTest() const {

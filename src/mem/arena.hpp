@@ -20,9 +20,12 @@
 //
 // Safety against ABA on recycled nodes is inherited from the quiescence
 // protocol: a node is only retired into the arena by the limbo list after
-// every operation that could still reference it has completed, exactly as
-// with the global allocator before. The arena never returns memory to the
-// OS while alive; slabs are freed wholesale in the destructor.
+// every operation that could still reference it has closed its bracket in
+// the process-wide registry (gc/thread_registry.hpp), exactly as with the
+// global allocator before. The arena never returns memory to the OS while
+// alive; slabs are freed wholesale in the destructor — for a shard retired
+// by a merge, only after ThreadRegistry::synchronize() has waited out every
+// bracket that could still reach the tree.
 #pragma once
 
 #include <atomic>

@@ -229,12 +229,16 @@ void ServingTier::completeOp(Executor& ex, detail::PendingOp* op) {
 void ServingTier::executeBatch(Executor& ex, detail::PendingOp* const* ops,
                                std::size_t n) {
   if (n == 0) return;
+  // Park on the checkpoint fence before opening the batch transaction (the
+  // composable ops inside it never park), then hold one bracket across
+  // every use of the root domain: a concurrent merge cannot retire it
+  // until the batch — per-op fallback included — has finished.
+  const shard::ShardedMap::OpScope scope(map_);
   // Root the batch in the first key's current shard domain; the map's
   // composable ops join further domains (and the routing domain) as the
   // batch touches them, with the multi-domain ordered commit keeping the
   // whole batch atomic.
-  const int si = map_.shardIndexFor(ops[0]->req.key);
-  stm::Domain& dom = map_.domainOf(si < 0 ? 0 : si);
+  stm::Domain& dom = map_.domainForKey(ops[0]->req.key);
   // The drain loop hands over homogeneous batches (one isReadOp class), so
   // the head op decides the mode: read batches ride the zero-logging
   // read-only path, update batches take full validation (the dual-path

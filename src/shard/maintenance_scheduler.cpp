@@ -20,7 +20,13 @@ MaintenanceScheduler::MaintenanceScheduler(MaintenanceSchedulerConfig cfg)
 }
 
 MaintenanceScheduler::~MaintenanceScheduler() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the mutex: a worker that checked stop_ and is about to block
+    // in cv_.wait() would otherwise miss the notification and never wake
+    // (an empty pool waits without a timeout), hanging the join below.
+    std::lock_guard<std::mutex> lk(mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "mem/arena.hpp"
 #include "obs/clock.hpp"
@@ -32,29 +31,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
 }
 
 }  // namespace
-
-// --------------------------------------------------------------------------
-// OpGuard
-// --------------------------------------------------------------------------
-thread_local int ShardedMap::OpGuard::tlsTicketDepth_ = 0;
-
-void ShardedMap::OpGuard::drain() {
-  // Serialized flips make the parity wait a true barrier: when the lock is
-  // acquired, every ticket from before the previous drain's flip has
-  // exited (inductively), so waiting out the current parity covers every
-  // ticket entered before ours.
-  std::lock_guard<std::mutex> lk(drainMu_);
-  const std::uint64_t old = epoch_.fetch_add(1, std::memory_order_seq_cst);
-  const std::size_t p = old & 1;
-  for (;;) {
-    std::uint64_t sum = 0;
-    for (const Stripe& s : stripes_) {
-      sum += s.n[p].load(std::memory_order_seq_cst);
-    }
-    if (sum == 0) return;
-    std::this_thread::yield();
-  }
-}
 
 // --------------------------------------------------------------------------
 // Construction / destruction
@@ -181,9 +157,9 @@ int ShardedMap::shardCount() const {
 }
 
 int ShardedMap::shardIndexFor(Key k) const {
-  // The ticket keeps a concurrent publishTable() from freeing the table
+  // The bracket keeps a concurrent publishTable() from freeing the table
   // out from under this (non-transactional) read.
-  OpTicket ticket(guard_);
+  const gc::OpGuard bracket;
   const RoutingTable* t = table();
   const trees::SFTree* owner = t->slots[slotOf(k)].owner;
   std::lock_guard<std::mutex> lk(topoMu_);
@@ -209,7 +185,7 @@ std::vector<stm::Domain*> ShardedMap::domains() {
 }
 
 std::vector<int> ShardedMap::slotOwners() const {
-  OpTicket ticket(guard_);
+  const gc::OpGuard bracket;
   const RoutingTable* t = table();
   std::lock_guard<std::mutex> lk(topoMu_);
   std::vector<int> out(t->slots.size(), -1);
@@ -317,20 +293,21 @@ std::vector<trees::SFTree*> ShardedMap::distinctTrees(const RoutingTable& t) {
 // Single-key operations. Each plain entry point runs its transaction body
 // through the Tx-composable variant below: the routing entry is resolved
 // INSIDE the body, once per attempt (an attempt that loses a conflict to a
-// re-sharder re-routes on retry), the census ticket is deferred to attempt
-// settlement and size estimates settle via commit hooks. Routing through
-// the composable variants also makes flat nesting sound for free: a plain
-// call inside an enclosing stm::atomically runs the same body inline, so
-// the enclosing transaction inherits the deferred ticket and the
+// re-sharder re-routes on retry) and size estimates settle via commit
+// hooks. Routing through the composable variants also makes flat nesting
+// sound for free: a plain call inside an enclosing stm::atomically runs the
+// same body inline, so the enclosing transaction inherits the
 // commit-gated estimate settlement instead of the plain wrapper's
-// call-scoped versions. The outer RAII ticket exists to keep the root
-// domain (resolved once, before the retry loop) alive across retries; the
-// transaction kind is latched from the entry observed at op start — a
-// table flip mid-op only changes which trees the (pin-disciplined,
-// restart-guarded) dual paths compose, never their safety.
+// call-scoped version. The OpScope parks on the checkpoint fence and then
+// brackets the non-transactional routing peek, keeping the root domain
+// (resolved once, before the retry loop) alive across retries — the
+// transaction nests inside that bracket for free. The transaction kind is
+// latched from the entry observed at op start — a table flip mid-op only
+// changes which trees the (pin-disciplined, restart-guarded) dual paths
+// compose, never their safety.
 // --------------------------------------------------------------------------
 bool ShardedMap::insert(Key k, Value v) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   const RouteEntry e0 = table()->slots[slotOf(k)];
   auto& st = stm::threadStats(e0.owner->domain());
   st.beginOp();
@@ -342,7 +319,7 @@ bool ShardedMap::insert(Key k, Value v) {
 }
 
 bool ShardedMap::erase(Key k) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   const RouteEntry e0 = table()->slots[slotOf(k)];
   auto& st = stm::threadStats(e0.owner->domain());
   st.beginOp();
@@ -354,7 +331,7 @@ bool ShardedMap::erase(Key k) {
 }
 
 bool ShardedMap::contains(Key k) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   const RouteEntry e0 = table()->slots[slotOf(k)];
   auto& st = stm::threadStats(e0.owner->domain());
   st.beginOp();
@@ -366,7 +343,7 @@ bool ShardedMap::contains(Key k) {
 }
 
 std::optional<Value> ShardedMap::get(Key k) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   const RouteEntry e0 = table()->slots[slotOf(k)];
   auto& st = stm::threadStats(e0.owner->domain());
   st.beginOp();
@@ -377,15 +354,12 @@ std::optional<Value> ShardedMap::get(Key k) {
   return r;
 }
 
-// Tx-composable variants: the caller's transaction outlives this call, so
-// the census ticket is released only when the enclosing attempt has fully
-// settled (after the final validation, the tx-end quiescence signals AND
-// the commit hooks) — a commit hook registered by the tree op below (a
-// violation-queue publish) still touches tree memory that a shard
-// retirement frees the moment the census drains.
+// Tx-composable variants: the caller's stm::atomically holds the bracket
+// across the final validation and the commit hooks — a commit hook
+// registered by the tree op below (a violation-queue publish) still
+// touches tree memory a shard retirement must not free before then. They
+// never park on the checkpoint fence: that would block inside a bracket.
 bool ShardedMap::insertTx(stm::Tx& tx, Key k, Value v) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   const RoutingTable* tbl = routeTx(tx);
   const std::size_t slot = slotOf(k);
   bumpSlotTick(slot);
@@ -405,8 +379,6 @@ bool ShardedMap::insertTx(stm::Tx& tx, Key k, Value v) {
 }
 
 bool ShardedMap::eraseTx(stm::Tx& tx, Key k) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   const RoutingTable* tbl = routeTx(tx);
   const std::size_t slot = slotOf(k);
   bumpSlotTick(slot);
@@ -424,8 +396,6 @@ bool ShardedMap::eraseTx(stm::Tx& tx, Key k) {
 }
 
 bool ShardedMap::containsTx(stm::Tx& tx, Key k) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   const RoutingTable* tbl = routeTx(tx);
   const std::size_t slot = slotOf(k);
   bumpSlotTick(slot);
@@ -436,8 +406,6 @@ bool ShardedMap::containsTx(stm::Tx& tx, Key k) {
 }
 
 std::optional<Value> ShardedMap::getTx(stm::Tx& tx, Key k) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   const RoutingTable* tbl = routeTx(tx);
   const std::size_t slot = slotOf(k);
   bumpSlotTick(slot);
@@ -448,7 +416,7 @@ std::optional<Value> ShardedMap::getTx(stm::Tx& tx, Key k) {
 }
 
 bool ShardedMap::move(Key from, Key to) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   const RoutingTable* t0 = table();
   const RouteEntry f0 = t0->slots[slotOf(from)];
   const RouteEntry to0 = t0->slots[slotOf(to)];
@@ -474,8 +442,6 @@ bool ShardedMap::move(Key from, Key to) {
 }
 
 bool ShardedMap::moveTx(stm::Tx& tx, Key from, Key to) {
-  const OpGuard::Ticket ticket = guard_.enter();
-  tx.onSettled([this, ticket] { guard_.exit(ticket); });
   const RoutingTable* t = routeTx(tx);  // per attempt: re-route on retry
   const std::size_t slotFrom = slotOf(from);
   const std::size_t slotTo = slotOf(to);
@@ -520,8 +486,6 @@ bool ShardedMap::moveTx(stm::Tx& tx, Key from, Key to) {
 }
 
 std::size_t ShardedMap::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   // Hash partitioning scatters [lo, hi] across every tree (including
   // migration sources); summing the per-tree transactional counts inside
   // one transaction yields a consistent snapshot of the whole range —
@@ -535,7 +499,7 @@ std::size_t ShardedMap::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
 }
 
 std::size_t ShardedMap::countRange(Key lo, Key hi) {
-  OpTicket ticket(guard_);
+  const OpScope scope(*this);
   auto& st = stm::threadStats(homeDomain());
   st.beginOp();
   // ReadOnly unconditionally (never elastic — countRange promises a
@@ -568,8 +532,6 @@ void ShardedMap::snapshotChunkTx(stm::Tx& tx, int anchorSlot, Key lo,
                                  const std::function<bool(Key)>& pred,
                                  std::vector<trees::SFTree::ExtractedKV>& out,
                                  SnapshotChunk& info) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   info = SnapshotChunk{};
   out.clear();
   const RoutingTable* tab = routeTx(tx);  // per attempt: re-route on retry
@@ -597,8 +559,6 @@ void ShardedMap::snapshotChunkTx(stm::Tx& tx, int anchorSlot, Key lo,
 void ShardedMap::snapshotAllTx(stm::Tx& tx,
                                const std::function<bool(Key)>& pred,
                                std::vector<trees::SFTree::ExtractedKV>& out) {
-  const OpGuard::Ticket t = guard_.enter();
-  tx.onSettled([this, t] { guard_.exit(t); });
   out.clear();  // the enclosing transaction may retry this attempt
   const RoutingTable* tab = routeTx(tx);
   std::vector<trees::SFTree::ExtractedKV> chunk;
@@ -635,10 +595,9 @@ void ShardedMap::publishTable(std::unique_ptr<RoutingTable> next) {
                distinctTrees(*fresh).size());
   }
   // Doomed stragglers may still *dereference* `old` (and the trees it
-  // names) until their attempt ends; the census drain covers that, with
-  // Tx-composable entry points holding their tickets until the enclosing
-  // transaction fully settled.
-  guard_.drain();
+  // names) until their attempt ends; every such dereference sits inside a
+  // bracket open at the publication, which synchronize() waits out.
+  gc::ThreadRegistry::instance().synchronize();
   delete old;
   std::lock_guard<std::mutex> lk(reshardStatsMu_);
   ++reshardStats_.tablePublishes;
@@ -746,7 +705,8 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
 
   // Phase 3: settled table — the moved slots route solely to dst. In-flight
   // dual-path operations on the old table remain correct (src provably has
-  // none of the moved keys; the drain retires the table afterwards).
+  // none of the moved keys; publishTable's synchronize() retires the old
+  // table afterwards).
   {
     const RoutingTable* cur = table();
     auto next = std::make_unique<RoutingTable>();
@@ -841,10 +801,11 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
   }
   migrateSlots(victim, target, movedSlots);
 
-  // Retirement. After the settled-table drain no operation can reach the
-  // victim; what may remain is its maintenance (unregister blocks until the
-  // in-flight pass finishes) and, in PerShard mode, transactions that
-  // joined its domain — the domain census gates on those.
+  // Retirement. After the settled-table synchronize() no operation can
+  // reach the victim; what may remain is its maintenance (unregister blocks
+  // until the in-flight pass finishes) and any bracket that found it
+  // through live_ (domainOf) before the removal below — the final
+  // synchronize() waits those out before the tree and domain are freed.
   std::unique_ptr<ShardRec> retired;
   {
     std::lock_guard<std::mutex> lk(topoMu_);
@@ -862,7 +823,7 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
   } else {
     retired->tree->stopMaintenance();
   }
-  if (retired->domain != nullptr) retired->domain->awaitQuiescence();
+  gc::ThreadRegistry::instance().synchronize();
   {
     // The arena's slabs are freed wholesale with the tree; record what the
     // retirement drains.

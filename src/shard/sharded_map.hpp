@@ -30,10 +30,12 @@
 // itself is transactional state in a map-owned routing domain — operations
 // read it inside their transaction and republication is a transactional
 // write, so route staleness is ordinary STM conflict. Memory reclamation
-// (old tables, retired trees) is additionally guarded by an epoch-parity
-// operation census (OpGuard) plus the domain's in-flight transaction
-// census (stm::Domain::awaitQuiescence). See docs/sharding.md ("Dynamic
-// re-sharding").
+// (old tables, retired trees and their domains) waits on the process-wide
+// quiescence registry: every operation runs inside a bracket (its
+// transaction's, or an OpScope around a non-transactional routing peek),
+// and the re-sharder frees only after gc::ThreadRegistry::synchronize()
+// has waited out every bracket open at the unlink. See docs/sharding.md
+// ("Dynamic re-sharding").
 #pragma once
 
 #include <atomic>
@@ -45,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "gc/thread_registry.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "shard/maintenance_scheduler.hpp"
@@ -221,6 +224,13 @@ class ShardedMap final : public trees::ITransactionalMap {
   // The clock domain shard i commits against (shard i's own domain in
   // PerShard mode; the shared one otherwise).
   stm::Domain& domainOf(int i) { return shard(i).domain(); }
+  // The domain key k's current owner commits against — the natural root
+  // for a transaction on k. A non-transactional routing peek: the caller
+  // must hold a bracket (OpScope or gc::OpGuard) for as long as it uses
+  // the result, or a concurrent merge may retire the domain.
+  stm::Domain& domainForKey(Key k) const {
+    return table()->slots[slotOf(k)].owner->domain();
+  }
   bool perShardDomains() const {
     return cfg_.domainMode == DomainMode::PerShard;
   }
@@ -258,9 +268,10 @@ class ShardedMap final : public trees::ITransactionalMap {
   // stale/out of range.
   int splitShard(int idx);
   // Migrates every slot of shard `victimIdx` onto shard `targetIdx`, then
-  // retires the empty tree (unregisters maintenance, awaits domain
-  // quiescence in PerShard mode, frees the arena wholesale). Returns false
-  // when either index is stale/out of range or they are equal.
+  // retires the empty tree (unregisters maintenance, synchronizes, then
+  // frees the tree — its arena wholesale — and, in PerShard mode, its
+  // domain). Returns false when either index is stale/out of range or they
+  // are equal.
   bool mergeShards(int victimIdx, int targetIdx);
 
   ReshardStats reshardStats() const;
@@ -275,37 +286,61 @@ class ShardedMap final : public trees::ITransactionalMap {
   // slot a lookup touches). Bumped inside the body of every attempt that
   // may change a slot's content — insert/erase/move and each migration
   // batch — i.e. *before* that transaction can commit, with seq_cst on
-  // both sides. The checkpoint certification protocol (sample -> census
-  // drain -> stream -> resample; docs/checkpoint.md) turns "tick unchanged"
-  // into "slot content unchanged across the streamed window": a writer
-  // whose bump the resample missed is seq_cst-ordered after it, so its
-  // commit lands after the cut; a writer that bumped before the first
-  // sample still held its operation-census ticket, so quiesceOps() waited
-  // out its commit before the stream read anything.
+  // both sides. The checkpoint certification protocol (sample ->
+  // synchronize -> stream -> resample; docs/checkpoint.md) turns "tick
+  // unchanged" into "slot content unchanged across the streamed window": a
+  // writer whose bump the resample missed is seq_cst-ordered after it, so
+  // its commit lands after the cut; a writer that bumped before the first
+  // sample was inside its bracket, so synchronize() (quiesceOps) waited out
+  // its commit before the stream read anything.
   std::uint64_t slotWriteTick(int slot) const {
     return slotWriteTicks_[static_cast<std::size_t>(slot)].load(
         std::memory_order_seq_cst);
   }
   std::vector<std::uint64_t> slotWriteTicks() const;
   // Checkpoint certification barrier: waits until every operation in
-  // flight at the call has fully settled (the same epoch-parity census
-  // drain table republication uses). After it returns, any update whose
-  // dirty-tick bump predates the caller's tick samples has committed or
-  // aborted — the other half of the certification argument above.
-  void quiesceOps() { guard_.drain(); }
-  // Operation fence for the checkpoint forced cut. fencedOpsBegin() parks
-  // operations newly arriving at the census and drains the in-flight ones;
-  // until fencedOpsEnd() the map is near-quiescent (threads already inside
-  // an enclosing transaction, and the fencing thread itself, pass through),
-  // so a whole-map read transaction taken under the fence finishes in a
-  // bounded number of attempts instead of being starved by sustained write
-  // traffic. Maintenance and migration keep running — they preserve
-  // logical content and the cut transaction serializes against them.
+  // flight at the call has fully settled (gc::ThreadRegistry::synchronize,
+  // the same wait table republication uses). After it returns, any update
+  // whose dirty-tick bump predates the caller's tick samples has committed
+  // or aborted — the other half of the certification argument above. Must
+  // be called outside every bracket.
+  void quiesceOps() { gc::ThreadRegistry::instance().synchronize(); }
+  // Operation fence for the checkpoint forced cut. fencedOpsBegin() raises
+  // the fence — new map operations park (OpScope) until fencedOpsEnd() —
+  // and then waits out the operations already in flight. In between the
+  // map is near-quiescent, so a whole-map read transaction taken under the
+  // fence finishes in a bounded number of attempts instead of being
+  // starved by sustained write traffic. The composable *Tx entry points
+  // never park (their caller's transaction already holds a bracket), which
+  // is what lets the fencing thread run its cut through snapshotAllTx.
+  // Maintenance and migration keep running — they preserve logical content
+  // and the cut transaction serializes against them. Outside every bracket.
   void fencedOpsBegin() {
-    guard_.fenceBegin();
-    guard_.drain();
+    fence_.store(true, std::memory_order_seq_cst);
+    gc::ThreadRegistry::instance().synchronize();
   }
-  void fencedOpsEnd() { guard_.fenceEnd(); }
+  void fencedOpsEnd() { fence_.store(false, std::memory_order_seq_cst); }
+
+  // Map-operation bracket for code that reads the routing table outside a
+  // transaction (the plain single-key ops, a serving batch resolving its
+  // root domain). At bracket depth 0 it first parks while the checkpoint
+  // fence is up — parking *inside* a bracket would deadlock the fencing
+  // thread's synchronize() — then holds the process-wide quiescence
+  // bracket, which keeps every table and tree the peek reaches alive.
+  class OpScope {
+   public:
+    explicit OpScope(const ShardedMap& m) {
+      if (gc::bracketDepth() == 0) {
+        while (m.fence_.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      }
+      gc::enterBracket();
+    }
+    ~OpScope() { gc::exitBracket(); }
+    OpScope(const OpScope&) = delete;
+    OpScope& operator=(const OpScope&) = delete;
+  };
 
   // One bounded streaming chunk of a snapshot walk. Inside the caller's
   // transaction: resolves `anchorSlot`'s route, and — unless the slot is
@@ -367,104 +402,12 @@ class ShardedMap final : public trees::ITransactionalMap {
   // concurrent insert of an unrelated key relocates this key's insertion
   // point past the locked position, and a stale-routed insert commits a
   // duplicate without touching anything the new-route transaction read or
-  // wrote. The previous table's memory is freed only after the operation
-  // census drained (readers may still dereference it mid-attempt even
-  // though their commits are doomed).
+  // wrote. The previous table's memory is freed only after synchronize()
+  // waited out every bracket open at the republication (readers may still
+  // dereference it mid-attempt even though their commits are doomed).
   struct RoutingTable {
     std::uint64_t version = 0;
     std::vector<RouteEntry> slots;
-  };
-
-  // Epoch-parity operation census: every map operation holds a ticket from
-  // table load to the end of the operation (deferred to transaction end for
-  // the Tx-composable entry points, which outlive the call). drain() flips
-  // the parity and waits for the old parity's tickets to expire — after
-  // which no operation can still be using a previously published table or
-  // a tree it referenced. Stripes keep the counters off one shared line;
-  // seq_cst on enter/drain closes the load-epoch/increment race (an enter
-  // that re-reads an unchanged epoch is ordered before the drain's flip).
-  class OpGuard {
-   public:
-    using Ticket = std::uint32_t;  // (stripe << 1) | parity
-    Ticket enter() {
-      // Operation fence (checkpoint forced cut): park NEW operations until
-      // the fence lifts. Threads already holding a ticket must pass — their
-      // enclosing transaction (e.g. a serving-tier batch doing several map
-      // ops in one tx) has to finish for the drain to complete, so blocking
-      // its later ops would deadlock the fence against its own drain. The
-      // fencing thread also passes: the fenced cut reads the map through
-      // this same census.
-      if (tlsTicketDepth_ == 0 &&
-          fence_.load(std::memory_order_acquire) &&
-          fenceOwner_.load(std::memory_order_relaxed) !=
-              std::this_thread::get_id()) {
-        do {
-          std::this_thread::yield();
-        } while (fence_.load(std::memory_order_acquire));
-      }
-      ++tlsTicketDepth_;
-      const std::size_t s = stm::threadStripe(kStripes);
-      for (;;) {
-        const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-        std::atomic<std::uint64_t>& c = stripes_[s].n[e & 1];
-        c.fetch_add(1, std::memory_order_seq_cst);
-        if (epoch_.load(std::memory_order_seq_cst) == e) {
-          return static_cast<Ticket>((s << 1) | (e & 1));
-        }
-        // Raced a flip: the drainer may already have sampled our slot as
-        // empty. Move to the new parity.
-        c.fetch_sub(1, std::memory_order_seq_cst);
-      }
-    }
-    void exit(Ticket t) {
-      --tlsTicketDepth_;
-      stripes_[t >> 1].n[t & 1].fetch_sub(1, std::memory_order_seq_cst);
-    }
-    void drain();
-    // Raise/lower the operation fence. The caller drains after raising;
-    // from then until fenceEnd() only already-ticketed threads and the
-    // owner reach the trees, so a whole-map read transaction cannot be
-    // starved by op traffic.
-    void fenceBegin() {
-      fenceOwner_.store(std::this_thread::get_id(),
-                        std::memory_order_relaxed);
-      fence_.store(true, std::memory_order_seq_cst);
-    }
-    void fenceEnd() { fence_.store(false, std::memory_order_seq_cst); }
-
-   private:
-    static constexpr std::size_t kStripes = 16;
-    struct alignas(64) Stripe {
-      std::atomic<std::uint64_t> n[2] = {{0}, {0}};
-    };
-    Stripe stripes_[kStripes];
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<bool> fence_{false};
-    std::atomic<std::thread::id> fenceOwner_{};
-    // Tickets this thread currently holds (across ALL maps — the bypass is
-    // deliberately conservative; a stray pass-through only costs the fence
-    // a little quiescence, never correctness).
-    static thread_local int tlsTicketDepth_;
-    // Serializes drains. Two-parity epoch flips are only a full barrier
-    // when flips don't interleave: a concurrent flip would strand an old
-    // ticket on the parity the other drainer never waits for. Historically
-    // every drain ran under reshardMu_ (publishTable); checkpoint
-    // certification (quiesceOps) drains from outside that lock.
-    std::mutex drainMu_;
-  };
-
-  // RAII ticket for the self-contained operations (the transaction, if any,
-  // begins and ends inside the call).
-  class OpTicket {
-   public:
-    explicit OpTicket(OpGuard& g) : g_(g), t_(g.enter()) {}
-    ~OpTicket() { g_.exit(t_); }
-    OpTicket(const OpTicket&) = delete;
-    OpTicket& operator=(const OpTicket&) = delete;
-
-   private:
-    OpGuard& g_;
-    OpGuard::Ticket t_;
   };
 
   // One live shard: the tree, its owned clock domain (PerShard mode), and
@@ -529,8 +472,8 @@ class ShardedMap final : public trees::ITransactionalMap {
 
   // --- re-sharding machinery -------------------------------------------------
   std::unique_ptr<ShardRec> makeShard();
-  // Publishes `next` as the routing table and blocks until no operation
-  // can still see the old one; deletes it.
+  // Publishes `next` as the routing table, waits out every bracket that
+  // could still see the old one, and deletes it.
   void publishTable(std::unique_ptr<RoutingTable> next);
   // Moves every present key of `movedSlots` from src to dst in batched
   // range-move transactions, with the intermediate dual-route table
@@ -552,7 +495,7 @@ class ShardedMap final : public trees::ITransactionalMap {
   // Serializes split/merge against each other and against the quiesced
   // introspection walks. Ordered before topoMu_.
   mutable std::mutex reshardMu_;
-  // Guards live_ (the shard list). Never held while waiting on drains.
+  // Guards live_ (the shard list). Never held while synchronizing.
   mutable std::mutex topoMu_;
   // Dedicated clock domain guarding exactly one word: the routing-table
   // pointer. Read-shared by every operation, written only at publications
@@ -562,7 +505,8 @@ class ShardedMap final : public trees::ITransactionalMap {
   std::unique_ptr<stm::Domain> routingDomain_;
   stm::TxField<const RoutingTable*> tableTx_{nullptr};
   std::vector<std::unique_ptr<ShardRec>> live_;
-  mutable OpGuard guard_;  // const accessors take tickets too
+  // Checkpoint forced-cut fence (fencedOpsBegin/End; OpScope parks on it).
+  std::atomic<bool> fence_{false};
   // One relaxed counter per routing slot (fixed size routingSlots for the
   // map's lifetime, like the slot space itself).
   std::unique_ptr<std::atomic<std::uint64_t>[]> slotTicks_;

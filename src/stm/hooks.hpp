@@ -1,10 +1,10 @@
 // Inline-buffer callback storage for transaction hooks.
 //
-// Commit and tx-end hooks fire on essentially every tree update (retire an
-// unlinked node, signal quiescence completion) and capture at most a couple
-// of pointers. Storing them as std::vector<std::function<void()>> pays a
-// heap allocation whenever the vector's buffer is stolen at commit and
-// whenever a capture outgrows std::function's small buffer. SmallHook keeps
+// Commit hooks fire on essentially every tree update (retire an unlinked
+// node, publish a violation, settle a size estimate) and capture at most a
+// couple of pointers. Storing them as std::vector<std::function<void()>>
+// pays a heap allocation whenever the vector's buffer is stolen at commit
+// and whenever a capture outgrows std::function's small buffer. SmallHook keeps
 // the callable inline (48 bytes of capture, enough for several pointers)
 // and HookVec keeps the first few hooks in the object itself, so the common
 // one-or-two-hook transaction allocates nothing.
@@ -145,19 +145,6 @@ class HookVec {
     const std::size_t n = count_ < kInlineHooks ? count_ : kInlineHooks;
     for (std::size_t i = 0; i < n; ++i) (*slot(i))();
     for (auto& h : overflow_) h();
-  }
-
-  // Invokes every hook in REVERSE registration order — guard-release
-  // semantics: tx-end hooks are typically completion signals for scopes
-  // the operation entered in order (a map-level census ticket, then the
-  // tree-level quiescence guards inside it), and an outer scope must not
-  // be released while an inner scope's signal is still pending: the
-  // census ticket is exactly what keeps the tree (and its registry) alive
-  // for the inner hook to touch.
-  void runAllReverse() {
-    for (auto it = overflow_.rbegin(); it != overflow_.rend(); ++it) (*it)();
-    const std::size_t n = count_ < kInlineHooks ? count_ : kInlineHooks;
-    for (std::size_t i = n; i-- > 0;) (*slot(i))();
   }
 
   void clear() {

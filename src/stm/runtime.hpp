@@ -1,8 +1,7 @@
-// Per-thread transaction context, retry backoff, and the legacy singleton
-// shim. The process-global state the old `Runtime` singleton held now lives
-// in instantiable stm::Domain objects (see domain.hpp); this header keeps
-// the thread-side machinery: one lazily created transaction descriptor per
-// thread, plus the per-(thread, domain) statistics slots.
+// Per-thread transaction context and retry backoff. The process-global TM
+// state lives in instantiable stm::Domain objects (see domain.hpp); this
+// header keeps the thread-side machinery: one lazily created transaction
+// descriptor per thread, plus the per-(thread, domain) statistics slots.
 #pragma once
 
 #include <memory>
@@ -53,13 +52,5 @@ Tx& currentTx();
 ThreadStats& threadStats(Domain& d);
 // Convenience overload for the default process domain.
 ThreadStats& threadStats();
-
-// Legacy shim for the pre-domain singleton API: `Runtime::instance()` is
-// the default process domain. New code should use stm::defaultDomain() or
-// carry an explicit Domain.
-class Runtime {
- public:
-  static Domain& instance() { return defaultDomain(); }
-};
 
 }  // namespace sftree::stm

@@ -11,11 +11,18 @@
 // against a *different* domain joins that domain into the enclosing
 // transaction (multi-domain commit; see tx.hpp and docs/stm.md) — this is
 // how a cross-shard move spans two per-shard clock domains atomically.
+//
+// The outermost call holds a quiescence bracket (gc::OpGuard) across its
+// whole retry loop — every attempt, the final validation and the commit
+// hooks — so memory the transaction may still read is never freed under
+// it, whichever structures and domains it composes. Reclaimers wait on the
+// one process-wide registry (gc/thread_registry.hpp).
 #pragma once
 
 #include <type_traits>
 #include <utility>
 
+#include "gc/thread_registry.hpp"
 #include "stm/config.hpp"
 #include "stm/domain.hpp"
 #include "stm/field.hpp"
@@ -38,6 +45,7 @@ auto atomically(Domain& d, TxKind kind, F&& fn)
     DomainScope scope(tx, d);
     return fn(tx);
   }
+  const gc::OpGuard bracket;
   ThreadStats& stats = ctx.statsFor(d);
   for (;;) {
     tx.begin(d, kind, stats);

@@ -81,7 +81,6 @@ void Tx::begin(Domain& d, TxKind kind, ThreadStats& stats) {
   views_.clear();
   views_.push_back(DomainView{&d});
   curView_ = 0;
-  d.txEnter();  // released by exitDomainsInFlight at attempt end
   if (backend_ == TmBackend::NOrec) {
     // NOrec has no per-location metadata; elastic windows do not apply.
     elasticPhase_ = false;
@@ -103,8 +102,6 @@ void Tx::begin(Domain& d, TxKind kind, ThreadStats& stats) {
   writeSet_.clear();
   speculativeAllocs_.clear();
   commitHooks_.clear();
-  txEndHooks_.clear();
-  settledHooks_.clear();
   writeSigs_ = 0;
   idxMask_ = 0;
   window_.clear();
@@ -162,12 +159,7 @@ std::size_t Tx::enterDomain(Domain& d) {
       }
     }
   }
-  // Enter the census only once the view is recorded: exitDomainsInFlight
-  // releases exactly the domains present in views_, and both the RO
-  // restart above and push_back itself (allocation) may throw — txEnter is
-  // the one step here that cannot.
   views_.push_back(v);
-  d.txEnter();  // released by exitDomainsInFlight at attempt end
   curView_ = views_.size() - 1;
   if (backend_ == TmBackend::NOrec) {
     if (!valueLog_.empty()) norecValidate(obs::AbortCause::kCrossDomainJoin);
@@ -223,14 +215,7 @@ void Tx::onAbort() {
   } else if (stats_ != nullptr) {
     stats_->onAbort(abortCause_);
   }
-  exitDomainsInFlight();
   active_ = false;
-  runTxEndHooks();
-  runSettledHooks();
-}
-
-void Tx::exitDomainsInFlight() {
-  for (const DomainView& v : views_) v.domain->txExit();
 }
 
 void Tx::onAbortDelete(void* ptr, void (*deleter)(void*)) {
@@ -692,10 +677,8 @@ void Tx::commit() {
     stats_->onCommit();
     if (ro_) stats_->onRoCommit();
     finishAttempt(/*committed=*/true);
-    exitDomainsInFlight();
     active_ = false;
-    runTxEndHooks();
-    runCommitAndSettledHooks();
+    runCommitHooks();
     return;
   }
 
@@ -801,10 +784,8 @@ void Tx::commit() {
   flushReadStats();
   stats_->onCommit();
   finishAttempt(/*committed=*/true);
-  exitDomainsInFlight();
   active_ = false;
-  runTxEndHooks();
-  runCommitAndSettledHooks();
+  runCommitHooks();
 }
 
 // --- NOrec backend (Dalessandro, Spear, Scott — PPoPP 2010) ----------------
@@ -960,10 +941,8 @@ void Tx::norecCommit() {
     stats_->onCommit();
     if (ro_) stats_->onRoCommit();
     finishAttempt(/*committed=*/true);
-    exitDomainsInFlight();
     active_ = false;
-    runTxEndHooks();
-    runCommitAndSettledHooks();
+    runCommitHooks();
     return;
   }
   // Acquire every written domain's sequence lock in canonical order (the
@@ -1010,41 +989,8 @@ void Tx::norecCommit() {
   flushReadStats();
   stats_->onCommit();
   finishAttempt(/*committed=*/true);
-  exitDomainsInFlight();
   active_ = false;
-  runTxEndHooks();
-  runCommitAndSettledHooks();
-}
-
-void Tx::runTxEndHooks() {
-  // Contract: tx-end hooks are completion signals — they must not start
-  // transactions or register further hooks (onCommit is the hook point for
-  // work that composes). HookVec keeps its storage across transactions (a
-  // guard hook fires on essentially every transaction). Reverse order:
-  // hooks are scope releases, and an outer scope (a ShardedMap census
-  // ticket) must outlive the inner scopes registered after it (the trees'
-  // quiescence-GC guards) — releasing the ticket first would let a
-  // concurrent shard retirement free the very registry the inner hook is
-  // about to signal.
-  txEndHooks_.runAllReverse();
-  txEndHooks_.clear();
-}
-
-void Tx::runSettledHooks() {
-  if (settledHooks_.empty()) return;
-  HookVec hooks(std::move(settledHooks_));
-  settledHooks_.clear();
-  hooks.runAllReverse();
-}
-
-void Tx::runCommitAndSettledHooks() {
-  // Steal the settled hooks before the commit hooks run: a commit hook may
-  // start a new transaction, and begin() resets this descriptor's hook
-  // storage.
-  HookVec settled(std::move(settledHooks_));
-  settledHooks_.clear();
   runCommitHooks();
-  settled.runAllReverse();
 }
 
 void Tx::runCommitHooks() {

@@ -174,37 +174,13 @@ class alignas(64) Tx {
   // the attempt aborts (TinySTM's stm_free equivalent: defer side effects —
   // typically retiring an unlinked node — until the unlink is durable).
   // Composes correctly with flat nesting: hooks registered by nested
-  // operations run only when the outermost transaction commits. Hooks are
-  // stored inline (no allocation) while their captures fit SmallHook.
+  // operations run only when the outermost transaction commits. Hooks run
+  // inside the quiescence bracket stm::atomically holds, so they may still
+  // touch memory the transaction read. Hooks are stored inline (no
+  // allocation) while their captures fit SmallHook.
   template <typename F>
   void onCommit(F&& hook) {
     commitHooks_.push(std::forward<F>(hook));
-  }
-
-  // Registers an action that runs when the current attempt *ends* — after
-  // commit or abort, i.e. after the last validation that may re-read
-  // logged addresses. Used to defer quiescence-GC completion signals past
-  // the transaction's final value-based revalidation (a NOrec commit
-  // re-reads every logged address; nodes referenced by an already-returned
-  // operation must not be freed before that). Re-registered by the
-  // operation body on every retry. Hooks run in reverse registration order
-  // (see runTxEndHooks).
-  template <typename F>
-  void onTxEnd(F&& hook) {
-    txEndHooks_.push(std::forward<F>(hook));
-  }
-
-  // Registers an action that runs once the attempt has fully *settled* —
-  // after the tx-end hooks AND, on commit, after every commit hook. This
-  // is the outermost release point: ShardedMap's operation-census tickets
-  // live here, because the commit hooks they must outlive (violation-queue
-  // publishes, size-estimate settlements) still touch tree memory that a
-  // shard retirement frees the moment the census drains. Run in reverse
-  // registration order; like tx-end hooks they must not start transactions
-  // or register further hooks. Re-registered by the body on every retry.
-  template <typename F>
-  void onSettled(F&& hook) {
-    settledHooks_.push(std::forward<F>(hook));
   }
 
   // One (domain, snapshot) pair per joined domain: the per-domain begin
@@ -329,12 +305,6 @@ class alignas(64) Tx {
   void elasticValidateWindow();
   void foldElasticWindowIntoReadSet();
 
-  // Drops the +1 this attempt holds on every joined domain's in-flight
-  // census (Domain::txEnter). Runs at attempt end, after the final
-  // validation reads — the census is what Domain::awaitQuiescence gates
-  // domain retirement on.
-  void exitDomainsInFlight();
-
   void acquireOrecForWrite(WriteEntry& we);
   void releaseHeldLocks(bool restoreOldVersion);
   void releaseNorecSeqLocks();
@@ -342,12 +312,6 @@ class alignas(64) Tx {
   // write-back completed, or on abort between tick and write-back).
   void endWritebacks();
   void runCommitHooks();
-  void runTxEndHooks();
-  // Runs the commit hooks and then the settled hooks, stealing the latter
-  // first: a commit hook may start a new transaction, whose begin() resets
-  // this descriptor's hook storage.
-  void runCommitAndSettledHooks();
-  void runSettledHooks();
   void flushReadStats() {
     if (pendingReads_ != 0) {
       stats_->onReadBatch(pendingReads_);
@@ -440,8 +404,6 @@ class alignas(64) Tx {
   std::vector<ValueEntry> valueLog_;  // NOrec backend only
   std::vector<AllocEntry> speculativeAllocs_;
   HookVec commitHooks_;
-  HookVec txEndHooks_;
-  HookVec settledHooks_;
   std::uint64_t writeSigs_ = 0;  // bloom signature over write addresses
 
   // Open-addressing indexes over writeSet_, active once the write set

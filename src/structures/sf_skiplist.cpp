@@ -1,7 +1,5 @@
 #include "structures/sf_skiplist.hpp"
 
-#include "gc/tx_guard.hpp"
-
 #include <limits>
 
 namespace sftree::structures {
@@ -46,7 +44,6 @@ SFSkipList::Node* SFSkipList::findTx(stm::Tx& tx, Key k,
 
 bool SFSkipList::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
   Node* n = findTx(tx, k, preds, succs);
@@ -55,7 +52,6 @@ bool SFSkipList::containsTx(stm::Tx& tx, Key k) {
 
 std::optional<Value> SFSkipList::getTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
   Node* n = findTx(tx, k, preds, succs);
@@ -79,7 +75,6 @@ int SFSkipList::randomLevel() {
 
 bool SFSkipList::insertTx(stm::Tx& tx, Key k, Value v) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
   Node* n = findTx(tx, k, preds, succs);
@@ -106,7 +101,6 @@ bool SFSkipList::insertTx(stm::Tx& tx, Key k, Value v) {
 
 bool SFSkipList::eraseTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   Node* preds[kMaxLevel];
   Node* succs[kMaxLevel];
   Node* n = findTx(tx, k, preds, succs);
@@ -164,7 +158,7 @@ bool SFSkipList::tryUnlink(Node* node) {
 
 bool SFSkipList::maintenancePass() {
   bool didWork = false;
-  limbo_.openEpoch(registry_);
+  limbo_.openEpoch();
   Node* n = head_->next[0].loadAcquire();
   while (n != nullptr && !stopFlag_.load(std::memory_order_relaxed)) {
     Node* next = n->next[0].loadAcquire();
@@ -173,7 +167,7 @@ bool SFSkipList::maintenancePass() {
     }
     n = next;
   }
-  limbo_.tryCollect(registry_);
+  limbo_.tryCollect();
   return didWork;
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "mem/arena.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
@@ -110,7 +109,6 @@ class SFSkipList {
 
   Config cfg_;
   stm::Domain& domain_;
-  gc::ThreadRegistry registry_;
   gc::LimboList limbo_;
   std::thread maintenanceThread_;
   std::atomic<bool> stopFlag_{false};

@@ -1,7 +1,5 @@
 #include "structures/tmlist.hpp"
 
-#include "gc/tx_guard.hpp"
-
 namespace sftree::structures {
 
 TMList::TMList(stm::Domain* domain)
@@ -18,7 +16,6 @@ TMList::~TMList() {
 
 bool TMList::insertTx(stm::Tx& tx, Key k, Value v) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   ListNode* prev = nullptr;
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) {
@@ -39,7 +36,6 @@ bool TMList::insertTx(stm::Tx& tx, Key k, Value v) {
 
 bool TMList::eraseTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   ListNode* prev = nullptr;
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) {
@@ -62,7 +58,6 @@ bool TMList::eraseTx(stm::Tx& tx, Key k) {
 
 bool TMList::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
   return curr != nullptr && curr->key == k;
@@ -70,7 +65,6 @@ bool TMList::containsTx(stm::Tx& tx, Key k) {
 
 std::optional<Value> TMList::getTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
   if (curr == nullptr || curr->key != k) return std::nullopt;
@@ -79,7 +73,6 @@ std::optional<Value> TMList::getTx(stm::Tx& tx, Key k) {
 
 bool TMList::updateTx(stm::Tx& tx, Key k, Value v) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   ListNode* curr = head_.read(tx);
   while (curr != nullptr && curr->key < k) curr = curr->next.read(tx);
   if (curr == nullptr || curr->key != k) return false;
@@ -89,7 +82,6 @@ bool TMList::updateTx(stm::Tx& tx, Key k, Value v) {
 
 std::size_t TMList::sizeTx(stm::Tx& tx) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   std::size_t n = 0;
   for (ListNode* curr = head_.read(tx); curr != nullptr;
        curr = curr->next.read(tx)) {
@@ -101,7 +93,6 @@ std::size_t TMList::sizeTx(stm::Tx& tx) {
 void TMList::forEachTx(stm::Tx& tx,
                        const std::function<void(Key, Value)>& fn) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   for (ListNode* curr = head_.read(tx); curr != nullptr;
        curr = curr->next.read(tx)) {
     fn(curr->key, curr->value.read(tx));
@@ -112,8 +103,8 @@ void TMList::retireNode(ListNode* n) {
   std::lock_guard<std::mutex> lk(limboMu_);
   limbo_.retire(n, &TMList::deleteNode);
   if (++retireTick_ % 64 == 0) {
-    limbo_.tryCollect(registry_);
-    limbo_.openEpoch(registry_);
+    limbo_.tryCollect();
+    limbo_.openEpoch();
   }
 }
 

@@ -4,7 +4,8 @@
 // application (per-customer reservation lists, as in STAMP's list.c). All
 // shared accesses go through the STM, so list operations compose with tree
 // operations inside one transaction. Unlinked nodes are reclaimed through
-// the same quiescence protocol as the trees (per-list registry + limbo).
+// the same quiescence protocol as the trees (process-wide registry +
+// limbo).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "mem/arena.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
@@ -75,7 +75,6 @@ class TMList {
   mem::NodeArena<ListNode> arena_;
   stm::TxField<ListNode*> head_{nullptr};
 
-  gc::ThreadRegistry registry_;
   std::mutex limboMu_;
   gc::LimboList limbo_;
   std::uint64_t retireTick_ = 0;

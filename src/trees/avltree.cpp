@@ -1,7 +1,5 @@
 #include "trees/avltree.hpp"
 
-#include "gc/tx_guard.hpp"
-
 #include <algorithm>
 #include <stack>
 
@@ -141,7 +139,6 @@ AVLNode* AVLTree::eraseRec(stm::Tx& tx, AVLNode* n, Key k, bool& erased) {
 
 bool AVLTree::insertTx(stm::Tx& tx, Key k, Value v) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   bool inserted = false;
   AVLNode* r = root_.read(tx);
   AVLNode* nr = insertRec(tx, r, k, v, inserted);
@@ -151,7 +148,6 @@ bool AVLTree::insertTx(stm::Tx& tx, Key k, Value v) {
 
 bool AVLTree::eraseTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   bool erased = false;
   AVLNode* r = root_.read(tx);
   AVLNode* nr = eraseRec(tx, r, k, erased);
@@ -161,7 +157,6 @@ bool AVLTree::eraseTx(stm::Tx& tx, Key k) {
 
 bool AVLTree::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   AVLNode* x = root_.read(tx);
   while (x != nullptr && x->key != k) {
     x = (k < x->key) ? x->left.read(tx) : x->right.read(tx);
@@ -171,7 +166,6 @@ bool AVLTree::containsTx(stm::Tx& tx, Key k) {
 
 std::optional<Value> AVLTree::getTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   AVLNode* x = root_.read(tx);
   while (x != nullptr && x->key != k) {
     x = (k < x->key) ? x->left.read(tx) : x->right.read(tx);
@@ -243,7 +237,6 @@ std::size_t avlCountRange(stm::Tx& tx, AVLNode* n, Key lo, Key hi) {
 
 std::size_t AVLTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   return avlCountRange(tx, root_.read(tx), lo, hi);
 }
 
@@ -263,8 +256,8 @@ void AVLTree::retireNode(AVLNode* n) {
   std::lock_guard<std::mutex> lk(limboMu_);
   limbo_.retire(n, &AVLTree::deleteNode);
   if (++retireTick_ % 64 == 0) {
-    limbo_.tryCollect(registry_);
-    limbo_.openEpoch(registry_);
+    limbo_.tryCollect();
+    limbo_.openEpoch();
   }
 }
 

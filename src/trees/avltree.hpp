@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "mem/arena.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
@@ -98,7 +97,6 @@ class AVLTree {
   mem::NodeArena<AVLNode> arena_;
   stm::TxField<AVLNode*> root_{nullptr};
 
-  gc::ThreadRegistry registry_;
   std::mutex limboMu_;
   gc::LimboList limbo_;
   std::uint64_t retireTick_ = 0;

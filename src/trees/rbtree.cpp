@@ -1,7 +1,5 @@
 #include "trees/rbtree.hpp"
 
-#include "gc/tx_guard.hpp"
-
 #include <algorithm>
 #include <stack>
 
@@ -128,7 +126,6 @@ void RBTree::insertFixup(stm::Tx& tx, RBNode* z) {
 
 bool RBTree::insertTx(stm::Tx& tx, Key k, Value v) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   RBNode* y = nullptr;
   RBNode* x = root_.read(tx);
   while (x != nullptr) {
@@ -232,7 +229,6 @@ void RBTree::eraseFixup(stm::Tx& tx, RBNode* x, RBNode* xParent) {
 
 bool RBTree::eraseTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   RBNode* z = searchTx(tx, k);
   if (z == nullptr) return false;
 
@@ -313,13 +309,11 @@ bool RBTree::contains(Key k) {
 
 bool RBTree::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   return searchTx(tx, k) != nullptr;
 }
 
 std::optional<Value> RBTree::getTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   RBNode* n = searchTx(tx, k);
   if (n == nullptr) return std::nullopt;
   return n->value.read(tx);
@@ -362,7 +356,6 @@ std::size_t rbCountRange(stm::Tx& tx, RBNode* n, Key lo, Key hi) {
 
 std::size_t RBTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   return rbCountRange(tx, root_.read(tx), lo, hi);
 }
 
@@ -384,8 +377,8 @@ void RBTree::retireNode(RBNode* n) {
   // Amortized collection: close out the previous epoch if it quiesced and
   // open a new one.
   if (++retireTick_ % 64 == 0) {
-    limbo_.tryCollect(registry_);
-    limbo_.openEpoch(registry_);
+    limbo_.tryCollect();
+    limbo_.openEpoch();
   }
 }
 

@@ -9,7 +9,7 @@
 // tight coupling the speculation-friendly tree removes.
 //
 // Unlinked nodes are reclaimed through the same quiescence scheme as the
-// SF tree (per-tree registry + limbo list), amortized over erase calls.
+// SF tree (process-wide registry + limbo list), amortized over erase calls.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "mem/arena.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
@@ -103,7 +102,6 @@ class RBTree {
   mem::NodeArena<RBNode> arena_;
   stm::TxField<RBNode*> root_{nullptr};
 
-  gc::ThreadRegistry registry_;
   std::mutex limboMu_;
   gc::LimboList limbo_;
   std::uint64_t retireTick_ = 0;

@@ -1,6 +1,5 @@
 #include "trees/sftree.hpp"
 
-#include "gc/tx_guard.hpp"
 #include "obs/clock.hpp"
 #include "obs/stats_bridge.hpp"
 #include "obs/trace.hpp"
@@ -168,7 +167,6 @@ SFNode* SFTree::find(stm::Tx& tx, Key k, bool pin) const {
 // --------------------------------------------------------------------------
 bool SFTree::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k);
   if (curr->key != k) return false;
   if (curr->deleted.read(tx)) return false;
@@ -179,7 +177,6 @@ bool SFTree::containsTx(stm::Tx& tx, Key k) {
 
 std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k);
   if (curr->key != k) return std::nullopt;
   if (curr->deleted.read(tx)) return std::nullopt;
@@ -190,7 +187,6 @@ std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
 bool SFTree::insertTx(stm::Tx& tx, Key k, Value v) {
   assert(k < kInfiniteKey && "user keys must be < +inf sentinel");
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key == k) {
     if (curr->deleted.readPinned(tx)) {
@@ -231,7 +227,6 @@ bool SFTree::insertTx(stm::Tx& tx, Key k, Value v) {
 
 bool SFTree::eraseTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key != k) return false;
   if (curr->deleted.readPinned(tx)) return false;
@@ -271,7 +266,6 @@ std::size_t countRangeRec(stm::Tx& tx, SFNode* n, Key lo, Key hi) {
 
 std::size_t SFTree::countRangeTx(stm::Tx& tx, Key lo, Key hi) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   // The sentinel's key is +inf, so the user range never includes it.
   return countRangeRec(tx, root_->left.read(tx), lo, hi);
 }
@@ -342,7 +336,6 @@ bool SFTree::extractRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
   assert(tx.kind() != stm::TxKind::Elastic &&
          "extractRangeTx requires a Normal transaction (no pinning here)");
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   out.clear();  // the enclosing transaction may retry this attempt
   ExtractCtx c;
   c.maxN = maxN;
@@ -369,7 +362,6 @@ bool SFTree::scanRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
   assert(tx.kind() != stm::TxKind::Elastic &&
          "scanRangeTx requires Normal/ReadOnly (no pinning here)");
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   out.clear();  // the enclosing transaction may retry this attempt
   ExtractCtx c;
   c.maxN = maxN;
@@ -384,7 +376,6 @@ bool SFTree::scanRangeTx(stm::Tx& tx, Key lo, std::size_t maxN,
 
 bool SFTree::reserveAbsentTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   SFNode* curr = find(tx, k, /*pin=*/true);
   if (curr->key == k) {
     if (!curr->deleted.readPinned(tx)) return false;  // present
@@ -413,7 +404,6 @@ bool SFTree::reserveAbsentTx(stm::Tx& tx, Key k) {
 std::size_t SFTree::adoptRangeTx(stm::Tx& tx, const ExtractedKV* kvs,
                                  std::size_t n) {
   stm::DomainScope dscope(tx, domain_);
-  gc::txOpGuard(tx, registry_);
   std::size_t inserted = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (insertTx(tx, kvs[i].key, kvs[i].value)) ++inserted;
@@ -778,7 +768,7 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     splayBudgetLeft_ = splay_.rotationBudget;
     splayBudgetHit_ = false;
   }
-  limbo_.openEpoch(registry_);
+  limbo_.openEpoch();
   bool didWork = false;
   bool sawStructural = false;
   bool sweepDeferred = false;
@@ -801,7 +791,7 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     maintainSubtree(root_, top, /*leftChild=*/true, didWork, 0, cancel);
     passesSinceSweep_ = 0;
   }
-  limbo_.tryCollect(registry_);
+  limbo_.tryCollect();
   {
     const std::uint64_t passNs = obs::ticksToNs(obs::tick() - passStart);
     if (obs::traceEnabled()) {

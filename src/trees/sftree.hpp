@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "mem/arena.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
@@ -398,7 +397,6 @@ class SFTree {
   // for the same composed-operation reason as updateTxKind.
   stm::TxKind readTxKind() const;
   SFNode* rootForTest() { return root_; }
-  gc::ThreadRegistry& registryForTest() { return registry_; }
 
  private:
 
@@ -513,7 +511,6 @@ class SFTree {
   mem::NodeArena<SFNode> arena_;
   SFNode* root_;  // sentinel, key == kInfiniteKey, never rotated/removed
 
-  gc::ThreadRegistry registry_;
   gc::LimboList limbo_;  // touched only by the maintenance thread
 
   // Mutator -> maintenance violation channel. True when updates publish

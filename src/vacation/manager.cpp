@@ -1,7 +1,5 @@
 #include "vacation/manager.hpp"
 
-#include "gc/tx_guard.hpp"
-
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -88,7 +86,6 @@ Customer* Manager::findCustomer(stm::Tx& tx, Key customerId) {
 
 bool Manager::addReservation(stm::Tx& tx, ReservationType type, Key id,
                              std::int64_t num, Money price) {
-  gc::txOpGuard(tx, registry_);
   Reservation* r = findReservation(tx, type, id);
   if (r == nullptr) {
     if (num < 1 || price < 0) return false;
@@ -104,14 +101,12 @@ bool Manager::addReservation(stm::Tx& tx, ReservationType type, Key id,
 
 bool Manager::deleteReservationCapacity(stm::Tx& tx, ReservationType type,
                                         Key id, std::int64_t num) {
-  gc::txOpGuard(tx, registry_);
   Reservation* r = findReservation(tx, type, id);
   if (r == nullptr) return false;
   return r->addToTotal(tx, -num);
 }
 
 bool Manager::deleteFlight(stm::Tx& tx, Key id) {
-  gc::txOpGuard(tx, registry_);
   Reservation* r = findReservation(tx, ReservationType::Flight, id);
   if (r == nullptr) return false;
   if (r->numUsed(tx) > 0) return false;  // seats in use: cannot drop
@@ -121,7 +116,6 @@ bool Manager::deleteFlight(stm::Tx& tx, Key id) {
 }
 
 bool Manager::addCustomer(stm::Tx& tx, Key customerId) {
-  gc::txOpGuard(tx, registry_);
   if (customers_->containsTx(tx, customerId)) return false;
   auto* fresh = new Customer(customerId);
   tx.onAbortDelete(fresh, &deleteCustomerObj);
@@ -130,7 +124,6 @@ bool Manager::addCustomer(stm::Tx& tx, Key customerId) {
 }
 
 bool Manager::deleteCustomer(stm::Tx& tx, Key customerId) {
-  gc::txOpGuard(tx, registry_);
   Customer* c = findCustomer(tx, customerId);
   if (c == nullptr) return false;
   // Cancel every reservation the customer holds (releases capacity).
@@ -144,27 +137,23 @@ bool Manager::deleteCustomer(stm::Tx& tx, Key customerId) {
 }
 
 Money Manager::queryCustomerBill(stm::Tx& tx, Key customerId) {
-  gc::txOpGuard(tx, registry_);
   Customer* c = findCustomer(tx, customerId);
   if (c == nullptr) return -1;
   return c->bill(tx);
 }
 
 std::int64_t Manager::queryFree(stm::Tx& tx, ReservationType type, Key id) {
-  gc::txOpGuard(tx, registry_);
   Reservation* r = findReservation(tx, type, id);
   return r == nullptr ? -1 : r->numFree(tx);
 }
 
 Money Manager::queryPrice(stm::Tx& tx, ReservationType type, Key id) {
-  gc::txOpGuard(tx, registry_);
   Reservation* r = findReservation(tx, type, id);
   return r == nullptr ? -1 : r->price(tx);
 }
 
 bool Manager::reserve(stm::Tx& tx, ReservationType type, Key customerId,
                       Key id) {
-  gc::txOpGuard(tx, registry_);
   Customer* c = findCustomer(tx, customerId);
   if (c == nullptr) return false;
   Reservation* r = findReservation(tx, type, id);
@@ -181,7 +170,6 @@ bool Manager::reserve(stm::Tx& tx, ReservationType type, Key customerId,
 
 bool Manager::cancel(stm::Tx& tx, ReservationType type, Key customerId,
                      Key id) {
-  gc::txOpGuard(tx, registry_);
   Customer* c = findCustomer(tx, customerId);
   if (c == nullptr) return false;
   Reservation* r = findReservation(tx, type, id);
@@ -194,8 +182,8 @@ void Manager::retireReservation(Reservation* r) {
   std::lock_guard<std::mutex> lk(limboMu_);
   limbo_.retire(r, &deleteReservationObj);
   if (++retireTick_ % 16 == 0) {
-    limbo_.tryCollect(registry_);
-    limbo_.openEpoch(registry_);
+    limbo_.tryCollect();
+    limbo_.openEpoch();
   }
 }
 
@@ -203,8 +191,8 @@ void Manager::retireCustomer(Customer* c) {
   std::lock_guard<std::mutex> lk(limboMu_);
   limbo_.retire(c, &deleteCustomerObj);
   if (++retireTick_ % 16 == 0) {
-    limbo_.tryCollect(registry_);
-    limbo_.openEpoch(registry_);
+    limbo_.tryCollect();
+    limbo_.openEpoch();
   }
 }
 

@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "gc/limbo_list.hpp"
-#include "gc/thread_registry.hpp"
 #include "shard/maintenance_scheduler.hpp"
 #include "trees/map_interface.hpp"
 #include "vacation/customer.hpp"
@@ -83,9 +82,8 @@ class Manager {
   std::unique_ptr<trees::ITransactionalMap> tables_[kNumReservationTypes];
   std::unique_ptr<trees::ITransactionalMap> customers_;
 
-  // Row objects unlinked from the tables wait here for quiescence. The
-  // registry brackets every manager operation.
-  gc::ThreadRegistry registry_;
+  // Row objects unlinked from the tables wait here for quiescence (every
+  // manager operation runs inside a transaction, hence inside a bracket).
   std::mutex limboMu_;
   gc::LimboList limbo_;
   std::uint64_t retireTick_ = 0;

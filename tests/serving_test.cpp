@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -25,6 +26,8 @@ using sftree::Value;
 using sftree::bench::Rng;
 
 namespace {
+
+using namespace std::chrono_literals;
 
 // With ONE executor and ONE submitting thread the tier executes requests in
 // submission order (MPSC drain + FIFO backlog), so batching K requests into
@@ -238,7 +241,8 @@ TEST(ServingTest, AimdShrinksBatchUnderConflicts) {
 // underneath them: a resharder runs split/merge cycles as two submitters
 // stream inserts/erases with per-key net accounting through the tier. The
 // surviving key set must equal the net-inserted set — a batch observing a
-// migrating slot at both shards (or neither) would break it.
+// migrating slot at both shards (or neither) would break it. A concurrent
+// reader's lookups of a stable key set must all hit.
 TEST(ServingTest, BatchesSpanLiveResharding) {
   shard::MaintenanceSchedulerConfig schedCfg;
   schedCfg.workers = 2;
@@ -261,8 +265,12 @@ TEST(ServingTest, BatchesSpanLiveResharding) {
   constexpr Key kRange = 256;
   constexpr int kOpsPerThread = 6'000;
   constexpr int kFlight = 64;
+  // Read-only keys above the writers' range: every lookup must hit.
+  constexpr Key kStable = 64;
+  for (Key k = kRange; k < kRange + kStable; ++k) ASSERT_TRUE(map.insert(k, k));
   std::vector<std::atomic<std::int64_t>> net(kRange);
   std::atomic<bool> stopResharder{false};
+  std::atomic<bool> writersDone{false};
 
   std::thread resharder([&] {
     Rng rng(11);
@@ -309,10 +317,37 @@ TEST(ServingTest, BatchesSpanLiveResharding) {
       drain();
     });
   }
+  // One-at-a-time lookups: each is its own batch, so each resolves its
+  // root domain afresh while merges keep retiring shards (and, PerShard,
+  // their domains) under it — the resolution must stay inside the
+  // executor's bracket or ASan/TSan see the retired domain. The readers
+  // outlast the writers until enough merges have run.
+  constexpr std::uint64_t kMinMerges = 20;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  std::atomic<std::uint64_t> lookups{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      for (Key i = r; !writersDone.load(std::memory_order_acquire) ||
+                      (map.reshardStats().merges < kMinMerges &&
+                       std::chrono::steady_clock::now() < deadline);
+           ++i) {
+        const Key k = kRange + i % kStable;
+        const serve::Result res =
+            tier.submit(serve::Request{serve::OpKind::kGet, k, 0}).get();
+        ASSERT_TRUE(res.ok) << "stable key " << k << " missing";
+        ASSERT_EQ(res.value, k);
+        lookups.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
   for (auto& th : threads) th.join();
+  writersDone.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
   stopResharder.store(true, std::memory_order_release);
   resharder.join();
   tier.stop();
+  EXPECT_GT(lookups.load(), 0u);
 
   std::vector<Key> expectedKeys;
   for (Key k = 0; k < kRange; ++k) {
@@ -320,6 +355,7 @@ TEST(ServingTest, BatchesSpanLiveResharding) {
     ASSERT_LE(net[k].load(), 1);
     if (net[k].load() == 1) expectedKeys.push_back(k);
   }
+  for (Key k = kRange; k < kRange + kStable; ++k) expectedKeys.push_back(k);
   map.quiesce();
   EXPECT_EQ(map.keysInOrder(), expectedKeys);
   EXPECT_EQ(map.sizeEstimate(),

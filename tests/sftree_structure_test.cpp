@@ -214,9 +214,10 @@ TEST(SFTreeOptimizedTest, RemovalSetsEscapePointersToParent) {
   SFNode* n5 = n10->left.loadRelaxed();
   ASSERT_EQ(n5->key, 5);
   tree.erase(5);
-  // Hold an operation guard so the limbo cannot free n5 while we look at it.
+  // Hold a quiescence bracket so the limbo cannot free n5 while we look at
+  // it.
   {
-    sftree::gc::OpGuard guard(tree.registryForTest());
+    const sftree::gc::OpGuard guard;
     tree.quiesceNow();
     EXPECT_EQ(n5->removed.loadRelaxed(), RemState::Removed);
     EXPECT_EQ(n5->left.loadRelaxed(), n10);
@@ -253,7 +254,7 @@ TEST(SFTreeOptimizedTest, FindReachesKeyThroughRemovedNodes) {
   ASSERT_EQ(n4->key, 4);
   tree.erase(4);
   {
-    sftree::gc::OpGuard guard(tree.registryForTest());
+    const sftree::gc::OpGuard guard;
     tree.quiesceNow();
     ASSERT_EQ(n4->removed.loadRelaxed(), RemState::Removed);
     // Escape pointers climb back to the parent (node 8).

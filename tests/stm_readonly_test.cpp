@@ -205,6 +205,10 @@ TEST(ReadOnlyTxTest, TreeReadsUseRoPathAndStayConsistent) {
     opts.domain = &dom;
     auto map = trees::makeMap(kind, stm::TxKind::Normal, opts);
     for (sftree::Key k = 0; k < 512; ++k) map->insert(k, k);
+    // Let the trees' maintenance finish rebalancing the sequential fill: a
+    // lookup racing the rotations can go stale twice and be promoted to a
+    // read-write transaction, which would not count as an RO commit.
+    map->quiesce();
 
     const auto before = dom.aggregateStats();
     EXPECT_TRUE(map->contains(17));
@@ -224,11 +228,12 @@ TEST(ReadOnlyTxTest, TreeReadsUseRoPathAndStayConsistent) {
       }
       stop.store(true);
     });
+    // do-while: the writer may finish before the first check.
     std::uint64_t checks = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
+    do {
       ASSERT_EQ(map->countRange(0, 2000), 512u);
       ++checks;
-    }
+    } while (!stop.load(std::memory_order_relaxed));
     writer.join();
     EXPECT_GT(checks, 0u);
     EXPECT_EQ(map->countRange(0, 2000), 512u);
