@@ -561,8 +561,7 @@ def check_maintpath(top, baseline_path) -> None:
                 base = json.load(f)
         except FileNotFoundError:
             fail(f"baseline '{baseline_path}' not found — the committed "
-                 "BENCH_maintpath.json must be checked in (git add -f; it "
-                 "matches the BENCH_*.json gitignore pattern)")
+                 "BENCH_maintpath.json must be checked in")
         require(base, ["ablation_maintenance_ab"], "baseline top level")
         base_means = mode_means(base["ablation_maintenance_ab"])
         base_vpu = base_means["targeted"]["visits_per_update"]

@@ -30,9 +30,7 @@ ServingTier::ServingTier(shard::ShardedMap& map, ServingTierConfig cfg)
   if (n < 1) n = 1;
   execs_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    auto ex = std::make_unique<Executor>();
-    ex->curBatch = cfg_.batchSize;
-    execs_.push_back(std::move(ex));
+    execs_.push_back(std::make_unique<Executor>(cfg_.batchSize));
   }
   for (auto& ex : execs_) {
     Executor* e = ex.get();
@@ -177,7 +175,7 @@ void ServingTier::executorLoop(Executor& ex) {
     // read-only mode, which a single update in the batch would forfeit for
     // every read in it. Runs are consecutive, so order is preserved.
     const std::size_t avail = ex.backlog.size() - ex.backlogPos;
-    const std::size_t lim = std::min(avail, ex.curBatch);
+    const std::size_t lim = std::min(avail, ex.aimd.size());
     const bool readClass = isReadOp(ex.backlog[ex.backlogPos]->req.op);
     std::size_t take = 1;
     while (take < lim &&
@@ -281,22 +279,11 @@ void ServingTier::executeBatch(Executor& ex, detail::PendingOp* const* ops,
     }
   }
 
-  // AIMD on abort pressure, the migrationBatch shape: halve after a batch
-  // that aborted (floor 1 = per-op transactions), double back after two
-  // consecutive clean batches. The executor thread runs the transactions,
-  // so its own conflict-abort counter delta isolates this batch's aborts.
+  // AIMD on abort pressure (floor 1 = per-op transactions). The executor
+  // thread runs the transactions, so its own conflict-abort counter delta
+  // isolates this batch's aborts.
   if (cfg_.adaptiveBatch) {
-    if (st.conflictAbortTotal() != abortsBefore) {
-      ex.cleanStreak = 0;
-      if (ex.curBatch > 1) {
-        ex.curBatch = std::max<std::size_t>(1, ex.curBatch / 2);
-        ex.batchShrinks.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (++ex.cleanStreak >= 2 && ex.curBatch < cfg_.batchSize) {
-      ex.cleanStreak = 0;
-      ex.curBatch = std::min(cfg_.batchSize, ex.curBatch * 2);
-      ex.batchGrows.fetch_add(1, std::memory_order_relaxed);
-    }
+    ex.aimd.record(st.conflictAbortTotal() != abortsBefore);
   }
 }
 
@@ -320,8 +307,8 @@ ServingTierStats ServingTier::stats() const {
     s.perOpTxs += ex->perOpTxs.load(std::memory_order_relaxed);
     s.conflictFallbacks +=
         ex->conflictFallbacks.load(std::memory_order_relaxed);
-    s.batchShrinks += ex->batchShrinks.load(std::memory_order_relaxed);
-    s.batchGrows += ex->batchGrows.load(std::memory_order_relaxed);
+    s.batchShrinks += ex->aimd.shrinks();
+    s.batchGrows += ex->aimd.grows();
     const std::int64_t d = ex->depth.load(std::memory_order_relaxed);
     if (d > 0) s.queueDepth += static_cast<std::uint64_t>(d);
     s.maxQueueDepth = std::max(

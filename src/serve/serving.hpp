@@ -42,6 +42,7 @@
 
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
+#include "shard/aimd.hpp"
 #include "shard/sharded_map.hpp"
 #include "trees/key.hpp"
 
@@ -167,9 +168,10 @@ struct ServingTierConfig {
   int executors = 0;
   // Requests coalesced into one transaction (the AIMD ceiling).
   std::size_t batchSize = 32;
-  // Adapt the effective batch size to observed abort pressure (AIMD, the
-  // migrationBatch shape): halve after a batch that aborted (floor 1 =
-  // per-op transactions), double back after two clean batches.
+  // Adapt the effective batch size to observed abort pressure
+  // (shard::AimdBatch, shared with the migration batches): halve after a
+  // batch that aborted (floor 1 = per-op transactions), double back after
+  // two clean batches.
   bool adaptiveBatch = true;
   // Attempts before a conflicting batch degrades to committing only its
   // first request (the rest run one transaction each).
@@ -236,6 +238,9 @@ class ServingTier {
   // violation queue's MPSC Treiber-stack idiom (CAS push, exchange-drain);
   // FIFO order is restored by reversing the drained chain into a backlog.
   struct alignas(64) Executor {
+    explicit Executor(std::size_t batchCeiling)
+        : aimd(batchCeiling, /*floor=*/1) {}
+
     std::atomic<detail::PendingOp*> head{nullptr};
     std::atomic<std::int64_t> depth{0};
     std::atomic<std::uint64_t> maxDepth{0};
@@ -245,8 +250,7 @@ class ServingTier {
     // Worker-owned drain state (FIFO backlog; backlogPos is the cursor).
     std::vector<detail::PendingOp*> backlog;
     std::size_t backlogPos = 0;
-    std::size_t curBatch = 1;  // AIMD state
-    int cleanStreak = 0;
+    shard::AimdBatch aimd;
     // Single-writer (the executor thread) counters and histograms; readers
     // take racy snapshots (the LogHistogram contract).
     std::atomic<std::uint64_t> completed{0};
@@ -254,8 +258,6 @@ class ServingTier {
     std::atomic<std::uint64_t> batchedOps{0};
     std::atomic<std::uint64_t> perOpTxs{0};
     std::atomic<std::uint64_t> conflictFallbacks{0};
-    std::atomic<std::uint64_t> batchShrinks{0};
-    std::atomic<std::uint64_t> batchGrows{0};
     obs::LogHistogram latencyReadNs;
     obs::LogHistogram latencyUpdateNs;
     obs::LogHistogram batchNs;

@@ -86,15 +86,6 @@ void MaintenanceScheduler::resume(TreeHandle h) {
   cv_.notify_all();
 }
 
-void MaintenanceScheduler::nudge(TreeHandle h) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto entry = findEntry(h);
-  if (entry == nullptr) return;
-  entry->nextEligible = Clock::now();
-  entry->idleStreak = 0;
-  cv_.notify_all();
-}
-
 SchedulerStats MaintenanceScheduler::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
   return stats_;
@@ -144,7 +135,7 @@ MaintenanceScheduler::pickRunnable(Clock::time_point now,
   // overtaken only by a *strictly* higher load. A sustained hot shard can
   // stay eligible (its queue refills during its own drain, and its work
   // signal bypasses the backoff), so overtakes are capped: after
-  // maxPriorityStreak consecutive overrides the round-robin head runs
+  // kMaxPriorityStreak consecutive overrides the round-robin head runs
   // regardless, which bounds every eligible tree's wait.
   std::shared_ptr<Entry> best;
   std::shared_ptr<Entry> firstEligible;
@@ -188,7 +179,7 @@ MaintenanceScheduler::pickRunnable(Clock::time_point now,
   }
   if (best != nullptr) {
     if (best != firstEligible) {
-      if (++priorityStreak_ > cfg_.maxPriorityStreak) {
+      if (++priorityStreak_ > kMaxPriorityStreak) {
         // Anti-starvation: the round-robin head has been overtaken for a
         // full streak; run it now.
         best = firstEligible;
@@ -213,7 +204,7 @@ void MaintenanceScheduler::workerLoop() {
     auto entry = pickRunnable(Clock::now(), earliest, signalPollNeeded);
     if (entry == nullptr) {
       // Nothing runnable: sleep until the soonest backoff expires or a
-      // register/resume/nudge notifies. Only when a backed-off tree has a
+      // register/resume notifies. Only when a backed-off tree has a
       // work-signal callback is the sleep capped (1 ms poll cadence) — an
       // empty or signal-less pool parks on the condition variable instead
       // of spinning.
@@ -240,8 +231,10 @@ void MaintenanceScheduler::workerLoop() {
 
     if (entry->signal) entry->lastSignal = signalBefore;
     if (didWork) {
+      // Structural work usually leaves more behind it (a rotation unbalances
+      // the parent): re-poll at once, like the paper's continuous rotator.
       entry->idleStreak = 0;
-      entry->nextEligible = Clock::now() + cfg_.hotPause;
+      entry->nextEligible = Clock::now();
       ++entry->activePasses;
       ++stats_.activePasses;
     } else {

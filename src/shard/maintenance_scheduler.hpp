@@ -1,17 +1,17 @@
-// Shared maintenance scheduler: multiplexes the background restructuring of
-// many speculation-friendly trees onto a small pool of worker threads.
+// Maintenance scheduler: the one driver of background restructuring.
 //
-// The paper dedicates one rotator thread per tree, which stops scaling the
-// moment a process hosts more trees than spare cores (the vacation tables
-// already need a duty-cycle throttle to keep four rotators from starving the
-// clients). The scheduler inverts that: N trees register a pass callback, K
-// worker threads (K typically << N) round-robin depth-first maintenance
-// passes across them. Splay-tree analysis reminds us restructuring cost is
+// The paper dedicates one rotator thread per tree (§3.1); that rotator is
+// the one-worker configuration below (dedicatedRotatorConfig), which SFTree
+// and SFSkipList own when they maintain themselves. A process hosting more
+// trees than spare cores shares one pool instead: N trees register a pass
+// callback, K worker threads (K typically << N) round-robin passes across
+// them. Splay-tree analysis reminds us restructuring cost is
 // access-sequence-dependent, so passes are steered to where the work is:
 //
 //  * per-tree exponential backoff — a tree whose pass performed no
 //    structural change waits basePause, then 2x, 4x, ... up to maxPause
-//    before it is polled again, so idle trees cost (almost) nothing;
+//    before it is polled again, so idle trees cost (almost) nothing; a
+//    tree whose pass did work is eligible again at once;
 //  * work signal — each tree may expose a monotonic update counter; any
 //    observed change resets its backoff, so a tree that turns hot is picked
 //    up on the next scan instead of after the full backoff window;
@@ -22,9 +22,8 @@
 //    pool cycles through cold shards. Trees reporting equal (or no) load
 //    keep the round-robin order, which keeps the pick starvation-free.
 //
-// The scheduler is deliberately tree-agnostic (callbacks only): trees,
-// sharded maps and the vacation manager all register through the same
-// interface, and unit tests can register plain lambdas.
+// The scheduler is deliberately tree-agnostic (callbacks only): SFTree and
+// SFSkipList register themselves, and unit tests register plain lambdas.
 #pragma once
 
 #include <atomic>
@@ -50,16 +49,18 @@ struct MaintenanceSchedulerConfig {
   // idle pass up to maxPause.
   std::chrono::microseconds basePause{100};
   std::chrono::microseconds maxPause{20'000};
-  // Pause before re-polling a tree whose last pass did structural work
-  // (0 = continuous, like the paper's dedicated rotator).
-  std::chrono::microseconds hotPause{0};
-  // Consecutive scans in which a higher-load tree may overtake the
-  // round-robin head before the head is forced to run anyway. A sustained
-  // hot shard refills its queue during its own drain, so pure max-load
-  // picking could starve a lower-but-nonzero-load shard indefinitely; the
-  // cap bounds any eligible tree's wait to this many scans.
-  int maxPriorityStreak = 8;
 };
+
+// The paper's dedicated rotator as a scheduler configuration: one worker,
+// a pass right after every pass that did work, and a fixed 100 us nap
+// after an idle one (basePause == maxPause: no exponential backoff).
+inline MaintenanceSchedulerConfig dedicatedRotatorConfig() {
+  MaintenanceSchedulerConfig cfg;
+  cfg.workers = 1;
+  cfg.basePause = std::chrono::microseconds{100};
+  cfg.maxPause = cfg.basePause;
+  return cfg;
+}
 
 // Aggregate counters over the scheduler's lifetime.
 struct SchedulerStats {
@@ -122,10 +123,6 @@ class MaintenanceScheduler {
   void pause(TreeHandle h);
   void resume(TreeHandle h);
 
-  // Cuts the tree's current backoff short (an explicit work hint; the
-  // work-signal callback usually makes this unnecessary).
-  void nudge(TreeHandle h);
-
   SchedulerStats stats() const;
   std::vector<TreeMaintStats> treeStats() const;
   // Registers the pool counters plus per-tree pass/backlog gauges (under
@@ -180,7 +177,8 @@ class MaintenanceScheduler {
   std::vector<std::shared_ptr<Entry>> entries_;
   std::size_t cursor_ = 0;  // round-robin start position for the next scan
   // Consecutive picks in which load overrode the round-robin head; at
-  // cfg_.maxPriorityStreak the head runs regardless (anti-starvation).
+  // kMaxPriorityStreak the head runs regardless (anti-starvation).
+  static constexpr int kMaxPriorityStreak = 8;
   int priorityStreak_ = 0;
   TreeHandle nextHandle_ = 1;
   SchedulerStats stats_;

@@ -42,7 +42,7 @@ void ReshardController::stop() {
 bool ReshardController::sampleAndAct() {
   // Sampling and acting run with NO controller lock held: mu_ is a leaf
   // lock guarding prevTicks_/stats_/decisions_ only, never ordered before
-  // the map's reshard/topology mutexes or — via makeShard's registerTree —
+  // the map's reshard/topology mutexes or — via SFTree::maintainWith —
   // the maintenance scheduler's. Holding it across splitShard/mergeShards
   // would make stats()/decisionLog()/metrics collection block behind a
   // whole migration and closes lock cycles with quiesced walks that pause

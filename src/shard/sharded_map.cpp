@@ -9,6 +9,7 @@
 #include "obs/clock.hpp"
 #include "obs/stats_bridge.hpp"
 #include "obs/trace.hpp"
+#include "shard/aimd.hpp"
 
 namespace sftree::shard {
 
@@ -109,14 +110,8 @@ ShardedMap::ShardedMap(ShardedMapConfig cfg) : cfg_(std::move(cfg)) {
   tableTx_.storeRelaxed(t.release());  // pre-publication: single-threaded
 }
 
-ShardedMap::~ShardedMap() {
-  // Unregister before the trees go away: unregisterTree blocks until any
-  // in-flight pass on the shard has finished.
-  if (cfg_.scheduler != nullptr) {
-    for (const auto& rec : live_) cfg_.scheduler->unregisterTree(rec->handle);
-  }
-  delete tableTx_.loadRelaxed();
-}
+// Each tree detaches from its maintenance driver in its own destructor.
+ShardedMap::~ShardedMap() { delete tableTx_.loadRelaxed(); }
 
 std::unique_ptr<ShardedMap::ShardRec> ShardedMap::makeShard() {
   auto rec = std::make_unique<ShardRec>();
@@ -129,18 +124,11 @@ std::unique_ptr<ShardedMap::ShardRec> ShardedMap::makeShard() {
                                                            : cfg_.domain;
   rec->tree = std::make_unique<trees::SFTree>(treeCfg);
   if (cfg_.scheduler != nullptr) {
-    trees::SFTree* tree = rec->tree.get();
     static std::atomic<std::uint64_t> nameSeq{0};
-    rec->handle = cfg_.scheduler->registerTree(
+    rec->tree->maintainWith(
+        *cfg_.scheduler,
         cfg_.name + "/" +
-            std::to_string(nameSeq.fetch_add(1, std::memory_order_relaxed)),
-        [tree](const std::atomic<bool>* cancel) {
-          return tree->runMaintenancePass(cancel);
-        },
-        [tree] { return tree->updateTicks(); },
-        // Pending violation-queue entries: workers drain the hottest
-        // shard first instead of blind round-robin.
-        [tree] { return tree->violationQueueDepth(); });
+            std::to_string(nameSeq.fetch_add(1, std::memory_order_relaxed)));
   }
   return rec;
 }
@@ -631,20 +619,13 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
   batch.reserve(cfg_.migrationBatch);
   std::uint64_t keys = 0;
   std::uint64_t batches = 0;
-  std::uint64_t shrinks = 0;
-  std::uint64_t grows = 0;
   const std::uint64_t dualVersion = table()->version;
   Key cursor = std::numeric_limits<Key>::min();
-  // Adaptive batch sizing (AIMD). A batch that aborted before committing
-  // collided with live traffic inside its conflict window — halve the next
-  // batch to narrow the window; two consecutive clean batches double it
-  // back toward the configured ceiling. Migration runs on this thread, so
-  // the thread's own conflict-abort counters on the involved domains
-  // isolate exactly this batch's aborts (see docs/observability.md on the
+  // Adaptive batch sizing (AIMD). Migration runs on this thread, so the
+  // thread's own conflict-abort counters on the involved domains isolate
+  // exactly this batch's aborts (see docs/observability.md on the
   // single-writer thread-stats discipline).
-  std::size_t batchSize = cfg_.migrationBatch;
-  const std::size_t minBatch = std::min<std::size_t>(8, cfg_.migrationBatch);
-  int cleanStreak = 0;
+  AimdBatch aimd(cfg_.migrationBatch, /*floor=*/8);
   const bool crossDomain = &src->domain() != &dst->domain();
   const auto myAborts = [&]() -> std::uint64_t {
     std::uint64_t a = stm::threadStats(src->domain()).conflictAbortTotal();
@@ -663,13 +644,12 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
     for (const int s : movedSlots) {
       bumpSlotWriteTick(static_cast<std::size_t>(s));
     }
-    const std::uint64_t abortsBefore =
-        cfg_.adaptiveMigrationBatch ? myAborts() : 0;
+    const std::uint64_t abortsBefore = myAborts();
     const std::uint64_t batchStart = obs::tick();
     const std::size_t adopted = stm::atomically(
         src->domain(), stm::TxKind::Normal, [&](stm::Tx& tx) -> std::size_t {
           const bool complete = src->extractRangeTx(
-              tx, cursor, batchSize, pred, batch, nextLo);
+              tx, cursor, aimd.size(), pred, batch, nextLo);
           done = complete;
           if (batch.empty()) return 0;
           return dst->adoptRangeTx(tx, batch.data(), batch.size());
@@ -688,19 +668,7 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
       std::lock_guard<std::mutex> lk(reshardStatsMu_);
       reshardStats_.migrationBatchNs.record(batchNs);
     }
-    if (cfg_.adaptiveMigrationBatch) {
-      if (myAborts() != abortsBefore) {
-        cleanStreak = 0;
-        if (batchSize > minBatch) {
-          batchSize = std::max(minBatch, batchSize / 2);
-          ++shrinks;
-        }
-      } else if (++cleanStreak >= 2 && batchSize < cfg_.migrationBatch) {
-        cleanStreak = 0;
-        batchSize = std::min(cfg_.migrationBatch, batchSize * 2);
-        ++grows;
-      }
-    }
+    aimd.record(myAborts() != abortsBefore);
   }
 
   // Phase 3: settled table — the moved slots route solely to dst. In-flight
@@ -722,8 +690,8 @@ void ShardedMap::migrateSlots(trees::SFTree* src, trees::SFTree* dst,
   std::lock_guard<std::mutex> lk(reshardStatsMu_);
   reshardStats_.keysMigrated += keys;
   reshardStats_.migrationBatches += batches;
-  reshardStats_.batchShrinks += shrinks;
-  reshardStats_.batchGrows += grows;
+  reshardStats_.batchShrinks += aimd.shrinks();
+  reshardStats_.batchGrows += aimd.grows();
 }
 
 int ShardedMap::splitShard(int idx) {
@@ -818,11 +786,7 @@ bool ShardedMap::mergeShards(int victimIdx, int targetIdx) {
     }
   }
   assert(retired != nullptr);
-  if (cfg_.scheduler != nullptr) {
-    cfg_.scheduler->unregisterTree(retired->handle);
-  } else {
-    retired->tree->stopMaintenance();
-  }
+  retired->tree->stopMaintenance();
   gc::ThreadRegistry::instance().synchronize();
   {
     // The arena's slabs are freed wholesale with the tree; record what the
@@ -848,59 +812,44 @@ ReshardStats ShardedMap::reshardStats() const {
 // --------------------------------------------------------------------------
 // Quiesced introspection
 // --------------------------------------------------------------------------
-std::vector<bool> ShardedMap::pauseAllMaintenance() {
-  std::vector<bool> wasRunning(live_.size(), false);
-  if (cfg_.scheduler != nullptr) {
-    for (const auto& rec : live_) cfg_.scheduler->pause(rec->handle);
-    return wasRunning;  // unused in scheduler mode
-  }
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    wasRunning[i] = live_[i]->tree->maintenanceRunning();
-    if (wasRunning[i]) live_[i]->tree->stopMaintenance();
-  }
-  return wasRunning;
+void ShardedMap::pauseAllMaintenance() {
+  for (const auto& rec : live_) rec->tree->pauseMaintenance();
 }
 
-void ShardedMap::resumeAllMaintenance(const std::vector<bool>& wasRunning) {
-  if (cfg_.scheduler != nullptr) {
-    for (const auto& rec : live_) cfg_.scheduler->resume(rec->handle);
-    return;
-  }
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    if (wasRunning[i]) live_[i]->tree->startMaintenance();
-  }
+void ShardedMap::resumeAllMaintenance() {
+  for (const auto& rec : live_) rec->tree->resumeMaintenance();
 }
 
 std::size_t ShardedMap::size() {
   std::lock_guard<std::mutex> rl(reshardMu_);
   std::lock_guard<std::mutex> lk(topoMu_);
-  const auto wasRunning = pauseAllMaintenance();
+  pauseAllMaintenance();
   std::size_t total = 0;
   for (const auto& rec : live_) total += rec->tree->abstractSize();
-  resumeAllMaintenance(wasRunning);
+  resumeAllMaintenance();
   return total;
 }
 
 int ShardedMap::height() {
   std::lock_guard<std::mutex> rl(reshardMu_);
   std::lock_guard<std::mutex> lk(topoMu_);
-  const auto wasRunning = pauseAllMaintenance();
+  pauseAllMaintenance();
   int h = 0;
   for (const auto& rec : live_) h = std::max(h, rec->tree->height());
-  resumeAllMaintenance(wasRunning);
+  resumeAllMaintenance();
   return h;
 }
 
 std::vector<Key> ShardedMap::keysInOrder() {
   std::lock_guard<std::mutex> rl(reshardMu_);
   std::lock_guard<std::mutex> lk(topoMu_);
-  const auto wasRunning = pauseAllMaintenance();
+  pauseAllMaintenance();
   std::vector<Key> out;
   for (const auto& rec : live_) {
     const auto keys = rec->tree->keysInOrder();
     out.insert(out.end(), keys.begin(), keys.end());
   }
-  resumeAllMaintenance(wasRunning);
+  resumeAllMaintenance();
   // Per-shard walks are sorted, but the hash partition interleaves them.
   std::sort(out.begin(), out.end());
   return out;
@@ -909,9 +858,9 @@ std::vector<Key> ShardedMap::keysInOrder() {
 void ShardedMap::quiesce() {
   std::lock_guard<std::mutex> rl(reshardMu_);
   std::lock_guard<std::mutex> lk(topoMu_);
-  const auto wasRunning = pauseAllMaintenance();
+  pauseAllMaintenance();
   for (const auto& rec : live_) rec->tree->quiesceNow();
-  resumeAllMaintenance(wasRunning);
+  resumeAllMaintenance();
 }
 
 std::int64_t ShardedMap::sizeEstimate() const {

@@ -73,24 +73,19 @@ struct ShardedMapConfig {
   // slots. More slots = finer re-sharding granularity at the cost of a
   // (slightly) larger routing table per lookup.
   int routingSlots = 64;
-  // Keys moved per migration transaction during a split/merge. Larger
-  // batches amortize the cross-domain commit better but widen the conflict
-  // window against concurrent mutators.
+  // Keys moved per migration transaction during a split/merge: the ceiling
+  // of the adaptive batch size. Larger batches amortize the cross-domain
+  // commit better but widen the conflict window against concurrent
+  // mutators, so a batch that aborted at least once before committing
+  // halves the next one (floor min(8, migrationBatch)) and two consecutive
+  // clean batches double it back (AIMD, see shard::AimdBatch).
   std::size_t migrationBatch = 64;
-  // Adapt the batch size to observed abort pressure (AIMD): each migration
-  // batch that aborted at least once before committing halves the next
-  // batch (floor min(8, migrationBatch)); two consecutive clean batches
-  // double it back toward the configured ceiling. The abort signal is the
-  // migrating thread's own conflict-abort counters on the involved domains
-  // (migration runs on the caller thread, so the delta isolates the batch).
-  bool adaptiveMigrationBatch = true;
-  // Per-shard tree configuration. When a scheduler is supplied,
-  // tree.startMaintenance is ignored: shards are built externally
-  // maintained and registered with the scheduler instead. tree.domain is
-  // overridden according to domainMode.
+  // Per-shard tree configuration. tree.domain is overridden according to
+  // domainMode; tree.startMaintenance is ignored when a scheduler is set.
   trees::SFTreeConfig tree{};
-  // Shared maintenance pool (not owned; must outlive the map). When null,
-  // every shard runs its own dedicated maintenance thread, as in the paper.
+  // Maintenance pool every shard (split-born ones too) attaches to through
+  // SFTree::maintainWith; not owned, must outlive the map. When null, each
+  // shard runs its own one-worker driver, the paper's dedicated rotator.
   MaintenanceScheduler* scheduler = nullptr;
   // Prefix for the shards' scheduler entries (diagnostics).
   std::string name = "shard";
@@ -148,8 +143,7 @@ struct ReshardStats {
   std::uint64_t migrationBatches = 0;
   std::uint64_t tablePublishes = 0;
   // Adaptive-batch (AIMD) decisions: halvings under abort pressure and
-  // re-doublings after clean streaks (see
-  // ShardedMapConfig::adaptiveMigrationBatch).
+  // re-doublings after clean streaks (see ShardedMapConfig::migrationBatch).
   std::uint64_t batchShrinks = 0;
   std::uint64_t batchGrows = 0;
   // Arena footprint (bytes) and still-live blocks of the trees retired by
@@ -410,13 +404,11 @@ class ShardedMap final : public trees::ITransactionalMap {
     std::vector<RouteEntry> slots;
   };
 
-  // One live shard: the tree, its owned clock domain (PerShard mode), and
-  // its scheduler registration.
+  // One live shard: the tree and its owned clock domain (PerShard mode).
+  // The tree is declared last so it (and its maintenance) goes first.
   struct ShardRec {
     std::unique_ptr<stm::Domain> domain;  // null in Shared mode
     std::unique_ptr<trees::SFTree> tree;
-    MaintenanceScheduler::TreeHandle handle =
-        MaintenanceScheduler::kInvalidHandle;
   };
 
   std::size_t slotOf(Key k) const;
@@ -481,10 +473,10 @@ class ShardedMap final : public trees::ITransactionalMap {
   void migrateSlots(trees::SFTree* src, trees::SFTree* dst,
                     const std::vector<int>& movedSlots);
 
-  // Pause/resume restructuring on every shard (scheduler entries or
-  // dedicated threads) around quiesced walks. topoMu_ held by caller.
-  std::vector<bool> pauseAllMaintenance();
-  void resumeAllMaintenance(const std::vector<bool>& wasRunning);
+  // Pause/resume restructuring on every shard around quiesced walks.
+  // topoMu_ held by caller.
+  void pauseAllMaintenance();
+  void resumeAllMaintenance();
 
   // The domain map-level (multi-shard) transactions are rooted in: the
   // first slot's owner (the remaining domains are joined as the
@@ -501,8 +493,9 @@ class ShardedMap final : public trees::ITransactionalMap {
   // pointer. Read-shared by every operation, written only at publications
   // (rare), so it adds no write contention; it must share the trees' TM
   // backend (one transaction spans both). Declared before the shards so it
-  // outlives their teardown.
-  std::unique_ptr<stm::Domain> routingDomain_;
+  // outlives their teardown. Aligned: it and the fields through
+  // slotWriteTicks_, read by every operation, share one cache line.
+  alignas(64) std::unique_ptr<stm::Domain> routingDomain_;
   stm::TxField<const RoutingTable*> tableTx_{nullptr};
   std::vector<std::unique_ptr<ShardRec>> live_;
   // Checkpoint forced-cut fence (fencedOpsBegin/End; OpScope parks on it).

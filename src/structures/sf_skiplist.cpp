@@ -156,11 +156,12 @@ bool SFSkipList::tryUnlink(Node* node) {
   return ok;
 }
 
-bool SFSkipList::maintenancePass() {
+bool SFSkipList::runMaintenancePass(const std::atomic<bool>* cancel) {
   bool didWork = false;
   limbo_.openEpoch();
   Node* n = head_->next[0].loadAcquire();
-  while (n != nullptr && !stopFlag_.load(std::memory_order_relaxed)) {
+  while (n != nullptr &&
+         (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
     Node* next = n->next[0].loadAcquire();
     if (n->deleted.loadAcquire() && !n->removed.loadAcquire()) {
       if (tryUnlink(n)) didWork = true;
@@ -171,31 +172,20 @@ bool SFSkipList::maintenancePass() {
   return didWork;
 }
 
-void SFSkipList::maintenanceLoop() {
-  while (!stopFlag_.load(std::memory_order_acquire)) {
-    const bool didWork = maintenancePass();
-    if (!didWork && cfg_.idlePause.count() > 0) {
-      std::this_thread::sleep_for(cfg_.idlePause);
-    }
-  }
-}
-
 void SFSkipList::startMaintenance() {
-  if (maintenanceThread_.joinable()) return;
-  stopFlag_.store(false, std::memory_order_release);
-  maintenanceThread_ = std::thread([this] { maintenanceLoop(); });
+  if (driver_ != nullptr) return;
+  driver_ = std::make_unique<shard::MaintenanceScheduler>(
+      shard::dedicatedRotatorConfig());
+  driver_->registerTree("skiplist", [this](const std::atomic<bool>* cancel) {
+    return runMaintenancePass(cancel);
+  });
 }
 
-void SFSkipList::stopMaintenance() {
-  if (!maintenanceThread_.joinable()) return;
-  stopFlag_.store(true, std::memory_order_release);
-  maintenanceThread_.join();
-}
+void SFSkipList::stopMaintenance() { driver_.reset(); }
 
 int SFSkipList::quiesceNow(int maxPasses) {
-  stopFlag_.store(false, std::memory_order_release);
   for (int pass = 1; pass <= maxPasses; ++pass) {
-    if (!maintenancePass()) return pass;
+    if (!runMaintenancePass()) return pass;
   }
   return maxPasses;
 }

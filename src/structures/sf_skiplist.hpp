@@ -5,29 +5,29 @@
 //
 // Skip lists are probabilistically balanced, so only the *deletion*
 // decoupling of §3.2 applies: erase() flips a logical-deletion flag in a
-// tiny transaction; a background maintenance thread physically unlinks
-// deleted towers in node-local transactions and reclaims them through the
+// tiny transaction; background maintenance passes physically unlink
+// deleted towers in node-local transactions and reclaim them through the
 // same §3.4 quiescence protocol as the tree.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "gc/limbo_list.hpp"
 #include "mem/arena.hpp"
+#include "shard/maintenance_scheduler.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
 
 namespace sftree::structures {
 
 struct SkipListConfig {
+  // Start the background driver at construction; false = the owner runs
+  // runMaintenancePass()/quiesceNow() by hand.
   bool startMaintenance = true;
-  std::chrono::microseconds idlePause{100};
   // STM clock domain; null selects the process default.
   stm::Domain* domain = nullptr;
 };
@@ -68,11 +68,16 @@ class SFSkipList {
   std::optional<sftree::Value> getTx(stm::Tx& tx, sftree::Key k);
 
   // --- maintenance -----------------------------------------------------------
+  // The background driver: a one-worker scheduler the list owns
+  // (shard::dedicatedRotatorConfig). Stopping cancels an in-flight pass.
   void startMaintenance();
   void stopMaintenance();
-  bool maintenanceRunning() const { return maintenanceThread_.joinable(); }
+  bool maintenanceRunning() const { return driver_ != nullptr; }
+  // One unlink pass on the calling thread (what the driver runs); true when
+  // it unlinked a tower. By hand only while maintenance is stopped.
+  bool runMaintenancePass(const std::atomic<bool>* cancel = nullptr);
   // Runs unlink passes on the calling thread until nothing changes
-  // (maintenance thread must be stopped).
+  // (maintenance must be stopped).
   int quiesceNow(int maxPasses = 100);
 
   std::uint64_t unlinksForTest() const {
@@ -95,8 +100,6 @@ class SFSkipList {
 
   int randomLevel();
   bool tryUnlink(Node* node);
-  void maintenanceLoop();
-  bool maintenancePass();
 
   static void deleteNode(void* p) { mem::NodeArena<Node>::destroy(p); }
 
@@ -110,8 +113,8 @@ class SFSkipList {
   Config cfg_;
   stm::Domain& domain_;
   gc::LimboList limbo_;
-  std::thread maintenanceThread_;
-  std::atomic<bool> stopFlag_{false};
+  // Declared last: its worker runs passes over everything above.
+  std::unique_ptr<shard::MaintenanceScheduler> driver_;
 };
 
 }  // namespace sftree::structures

@@ -11,53 +11,17 @@ namespace sftree::trees {
 
 namespace {
 
-// Marks cfg as externally maintained when a scheduler is supplied and the
-// tree actually restructures (the NRtree has nothing to schedule).
-SFTreeConfig adaptForScheduler(SFTreeConfig cfg,
-                               shard::MaintenanceScheduler* scheduler) {
-  if (scheduler != nullptr && (cfg.rotations || cfg.removals)) {
-    cfg.startMaintenance = false;
-  }
-  return cfg;
-}
-
 class SFTreeMap final : public ITransactionalMap {
   template <typename F>
   auto withPausedMaintenance(F&& fn) {
-    if (handle_ != shard::MaintenanceScheduler::kInvalidHandle) {
-      scheduler_->pause(handle_);
-      auto result = fn();
-      scheduler_->resume(handle_);
-      return result;
-    }
-    const bool wasRunning = tree_.maintenanceRunning();
-    if (wasRunning) tree_.stopMaintenance();
+    tree_.pauseMaintenance();
     auto result = fn();
-    if (wasRunning) tree_.startMaintenance();
+    tree_.resumeMaintenance();
     return result;
   }
 
  public:
-  explicit SFTreeMap(SFTreeConfig cfg, std::string name = "sftree",
-                     shard::MaintenanceScheduler* scheduler = nullptr)
-      : tree_(adaptForScheduler(cfg, scheduler)), scheduler_(scheduler) {
-    if (scheduler_ != nullptr && (cfg.rotations || cfg.removals)) {
-      handle_ = scheduler_->registerTree(
-          std::move(name),
-          [this](const std::atomic<bool>* cancel) {
-            return tree_.runMaintenancePass(cancel);
-          },
-          [this] { return tree_.updateTicks(); });
-    }
-  }
-
-  ~SFTreeMap() override {
-    // Block until any in-flight scheduled pass has finished before the
-    // tree member is destroyed.
-    if (handle_ != shard::MaintenanceScheduler::kInvalidHandle) {
-      scheduler_->unregisterTree(handle_);
-    }
-  }
+  explicit SFTreeMap(SFTreeConfig cfg) : tree_(cfg) {}
 
   bool insert(Key k, Value v) override { return tree_.insert(k, v); }
   bool erase(Key k) override { return tree_.erase(k); }
@@ -84,8 +48,8 @@ class SFTreeMap final : public ITransactionalMap {
     return tree_.countRange(lo, hi);
   }
 
-  // The walks require a quiesced structure: pause the maintenance thread so
-  // in-flight rotations cannot hide nodes from the traversal.
+  // The walks require a quiesced structure: pause maintenance so in-flight
+  // rotations cannot hide nodes from the traversal.
   std::size_t size() override {
     return withPausedMaintenance([&] { return tree_.abstractSize(); });
   }
@@ -107,9 +71,6 @@ class SFTreeMap final : public ITransactionalMap {
 
  private:
   SFTree tree_;
-  shard::MaintenanceScheduler* scheduler_;
-  shard::MaintenanceScheduler::TreeHandle handle_ =
-      shard::MaintenanceScheduler::kInvalidHandle;
 };
 
 class RBTreeMap final : public ITransactionalMap {
@@ -249,35 +210,25 @@ std::vector<MapKind> allMapKinds() {
 std::unique_ptr<ITransactionalMap> makeMap(MapKind kind, stm::TxKind txKind,
                                            const MapOptions& options) {
   switch (kind) {
-    case MapKind::SFTree: {
-      SFTreeConfig cfg;
-      cfg.ops = OpsVariant::Portable;
-      cfg.txKind = txKind;
-      cfg.domain = options.domain;
-      cfg.interPassPause = options.maintenanceThrottle;
-      return std::make_unique<SFTreeMap>(
-          cfg, options.name.empty() ? "SFtree" : options.name,
-          options.scheduler);
-    }
-    case MapKind::OptSFTree: {
-      SFTreeConfig cfg;
-      cfg.ops = OpsVariant::Optimized;
-      cfg.txKind = txKind;
-      cfg.domain = options.domain;
-      cfg.interPassPause = options.maintenanceThrottle;
-      return std::make_unique<SFTreeMap>(
-          cfg, options.name.empty() ? "Opt-SFtree" : options.name,
-          options.scheduler);
-    }
+    case MapKind::SFTree:
+    case MapKind::OptSFTree:
     case MapKind::NRTree: {
       SFTreeConfig cfg;
-      cfg.ops = OpsVariant::Portable;
+      cfg.ops = kind == MapKind::OptSFTree ? OpsVariant::Optimized
+                                           : OpsVariant::Portable;
       cfg.txKind = txKind;
       cfg.domain = options.domain;
-      cfg.rotations = false;
-      cfg.removals = false;  // the NRtree never physically removes nodes
-      cfg.startMaintenance = false;
-      return std::make_unique<SFTreeMap>(cfg);
+      // The NRtree neither rotates nor physically removes nodes, so it has
+      // no maintenance to start or attach.
+      cfg.rotations = cfg.removals = kind != MapKind::NRTree;
+      cfg.startMaintenance = options.scheduler == nullptr;
+      auto map = std::make_unique<SFTreeMap>(cfg);
+      if (options.scheduler != nullptr) {
+        map->tree().maintainWith(
+            *options.scheduler,
+            options.name.empty() ? mapKindName(kind) : options.name);
+      }
+      return map;
     }
     case MapKind::RBTree: {
       RBTreeConfig cfg;

@@ -3,7 +3,6 @@
 // RBtree / AVLtree / SFtree / Opt-SFtree / NRtree) behind one API.
 #pragma once
 
-#include <chrono>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -62,7 +61,7 @@ class ITransactionalMap {
   virtual std::vector<Key> keysInOrder() = 0;
 
   // Blocks until background restructuring (if any) has settled; no-op for
-  // trees without a maintenance thread.
+  // trees without background maintenance.
   virtual void quiesce() {}
 };
 
@@ -83,20 +82,16 @@ const char* mapKindName(MapKind kind);
 // The five concurrent trees (excludes the sequential baseline).
 std::vector<MapKind> allMapKinds();
 
-// Extra construction knobs (only meaningful for trees with a maintenance
-// thread; ignored elsewhere).
+// Extra construction knobs.
 struct MapOptions {
-  // Duty-cycle throttle for the rotator thread; 0 = run continuously as in
-  // the paper. Only used when the tree runs its own dedicated maintenance
-  // thread (scheduler == nullptr).
-  std::chrono::microseconds maintenanceThrottle{0};
   // STM clock domain the map's transactions run against; null selects the
   // process default (ignored by the sequential baseline).
   stm::Domain* domain = nullptr;
-  // Shared maintenance pool (not owned; must outlive the map). When set,
-  // trees that need restructuring are built externally maintained and
-  // register their maintenance pass with this scheduler instead of
-  // spawning a dedicated thread each.
+  // Maintenance driver for the trees that restructure (SFtree, Opt-SFtree;
+  // ignored elsewhere). Null: the tree runs on a one-worker scheduler of
+  // its own, the paper's dedicated rotator. Set: the tree attaches to this
+  // shared pool instead (SFTree::maintainWith); not owned, must outlive
+  // the map.
   shard::MaintenanceScheduler* scheduler = nullptr;
   // Name for the scheduler entry (diagnostics: MaintenanceScheduler::
   // treeStats). Defaults to the map kind's name.

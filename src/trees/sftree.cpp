@@ -42,9 +42,7 @@ SFTree::SFTree(SFTreeConfig cfg)
   accessSampleMask_ = (std::uint32_t{1} << splay_.sampleShift) - 1;
   createdTick_ = obs::tick();
   pathBuf_.reserve(64);
-  if (cfg_.startMaintenance && (cfg_.rotations || cfg_.removals)) {
-    startMaintenance();
-  }
+  if (cfg_.startMaintenance) startMaintenance();
 }
 
 SFTree::~SFTree() {
@@ -701,34 +699,85 @@ void SFTree::bumpHeat(SFNode* n, std::uint32_t ticks) {
 }
 
 // --------------------------------------------------------------------------
-// Maintenance thread (paper §3.1/3.2/3.4): one background thread repeatedly
-// performs a depth-first traversal that propagates balance estimates,
+// Maintenance (paper §3.1/3.2/3.4): one pass at a time performs a targeted
+// drain and/or a depth-first traversal that propagates balance estimates,
 // rotates unbalanced nodes in node-local transactions, physically removes
 // logically deleted nodes, and garbage-collects retired nodes after
-// quiescence.
+// quiescence. A MaintenanceScheduler runs the passes in the background.
 // --------------------------------------------------------------------------
 void SFTree::startMaintenance() {
-  if (maintenanceThread_.joinable()) return;
-  stopFlag_.store(false, std::memory_order_release);
-  maintenanceThread_ = std::thread([this] { maintenanceLoop(); });
+  std::lock_guard<std::mutex> lk(driverMu_);
+  if (driver_ == nullptr) attachLocked(nullptr, "sftree");
+}
+
+void SFTree::maintainWith(shard::MaintenanceScheduler& scheduler,
+                          std::string name) {
+  std::lock_guard<std::mutex> lk(driverMu_);
+  detachLocked();
+  attachLocked(&scheduler, std::move(name));
+}
+
+void SFTree::attachLocked(shard::MaintenanceScheduler* scheduler,
+                          std::string name) {
+  if (!(cfg_.rotations || cfg_.removals)) return;  // nothing to maintain
+  shard::MaintenanceScheduler::WorkSignalFn signal = [this] {
+    return updateTicks();
+  };
+  if (scheduler == nullptr) {
+    ownDriver_ = std::make_unique<shard::MaintenanceScheduler>(
+        shard::dedicatedRotatorConfig());
+    scheduler = ownDriver_.get();
+    // The signal exists to cut a shared pool's growing backoff short; the
+    // own driver keeps the paper's fixed nap after every idle pass instead.
+    signal = nullptr;
+  }
+  driver_ = scheduler;
+  driverHandle_ = scheduler->registerTree(
+      std::move(name),
+      [this](const std::atomic<bool>* cancel) {
+        return runMaintenancePass(cancel);
+      },
+      std::move(signal), [this] { return violationQueueDepth(); });
 }
 
 void SFTree::stopMaintenance() {
-  if (!maintenanceThread_.joinable()) return;
-  stopFlag_.store(true, std::memory_order_release);
-  maintenanceThread_.join();
+  std::lock_guard<std::mutex> lk(driverMu_);
+  detachLocked();
 }
 
-void SFTree::maintenanceLoop() {
-  while (!stopFlag_.load(std::memory_order_acquire)) {
-    const bool didWork = runMaintenancePass(&stopFlag_);
-    if (cfg_.interPassPause.count() > 0) {
-      std::this_thread::sleep_for(cfg_.interPassPause);
-    }
-    if (!didWork && cfg_.idlePause.count() > 0) {
-      std::this_thread::sleep_for(cfg_.idlePause);
-    }
+void SFTree::detachLocked() {
+  if (driver_ == nullptr) return;
+  if (ownDriver_ != nullptr) {
+    ownDriver_.reset();  // cancels an in-flight pass, joins the worker
+  } else {
+    driver_->unregisterTree(driverHandle_);
   }
+  driver_ = nullptr;
+  pauseDepth_ = 0;
+}
+
+void SFTree::pauseMaintenance() {
+  std::lock_guard<std::mutex> lk(driverMu_);
+  if (driver_ == nullptr) return;
+  driver_->pause(driverHandle_);
+  ++pauseDepth_;
+}
+
+void SFTree::resumeMaintenance() {
+  std::lock_guard<std::mutex> lk(driverMu_);
+  if (driver_ == nullptr || pauseDepth_ == 0) return;
+  --pauseDepth_;
+  driver_->resume(driverHandle_);
+}
+
+bool SFTree::maintenanceRunning() const {
+  std::lock_guard<std::mutex> lk(driverMu_);
+  return driver_ != nullptr;
+}
+
+bool SFTree::passesMayRun() const {
+  std::lock_guard<std::mutex> lk(driverMu_);
+  return driver_ != nullptr && pauseDepth_ == 0;
 }
 
 bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
@@ -1229,8 +1278,8 @@ void SFTree::maintainSubtree(SFNode* parent, SFNode* node, bool leftChild,
 }
 
 int SFTree::quiesceNow(int maxPasses) {
-  assert(!maintenanceThread_.joinable() &&
-         "stop the maintenance thread before quiescing manually");
+  assert(!passesMayRun() &&
+         "stop or pause maintenance before quiescing manually");
   for (int pass = 1; pass <= maxPasses; ++pass) {
     // Drain the queue first; once it is empty every pass includes a full
     // sweep, and a clean sweep over an empty queue is the fixpoint.

@@ -5,8 +5,11 @@
 // *logically* deletes by setting the flag; contains reads it. All
 // restructuring — local rotations, physical removal of logically deleted
 // nodes, balance propagation and garbage collection — happens in small
-// node-local transactions executed by one background maintenance thread
-// (§3.1, §3.2, §3.4).
+// node-local transactions executed by one background maintenance pass at a
+// time (§3.1, §3.2, §3.4). Background passes run on a
+// shard::MaintenanceScheduler: one the tree owns (the paper's dedicated
+// rotator) or a pool shared with other trees. The tree records which one
+// drives it, so pausing, stopping and destruction work the same for both.
 //
 // Two operation variants are provided:
 //  * Portable (Algorithm 1): every shared access is a transactional read or
@@ -21,18 +24,19 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "gc/limbo_list.hpp"
 #include "mem/arena.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
+#include "shard/maintenance_scheduler.hpp"
 #include "stm/stm.hpp"
 #include "trees/key.hpp"
 #include "trees/violation_queue.hpp"
@@ -143,11 +147,9 @@ struct SFTreeConfig {
   // removal ("the no-restructuring tree does not physically remove nodes").
   bool rotations = true;
   bool removals = true;
-  // Spawn the dedicated background maintenance thread. Set to false either
-  // for the no-restructuring baseline or when the tree is *externally
-  // maintained*: an owner (e.g. shard::MaintenanceScheduler) drives
-  // runMaintenancePass() itself and multiplexes many trees onto a small
-  // worker pool.
+  // Call startMaintenance() from the constructor (the paper's dedicated
+  // rotator). Set to false when the owner drives maintenance: by hand
+  // (runMaintenancePass, quiesceNow) or through maintainWith().
   bool startMaintenance = true;
   // Targeted maintenance: update transactions publish the keys they
   // unbalance or logically delete into the tree's violation queue at commit
@@ -162,14 +164,6 @@ struct SFTreeConfig {
   // queue still forces one); quiesceNow() always finishes with clean
   // sweeps regardless.
   int fullSweepPeriod = 64;
-  // Pause between two depth-first maintenance traversals when the previous
-  // one found no work, to avoid burning a core on an idle tree.
-  std::chrono::microseconds idlePause{100};
-  // Pause after *every* traversal. The paper's rotator runs continuously on
-  // a dedicated core; on machines with few cores a small duty-cycle
-  // throttle keeps the rotator from starving the application threads
-  // (used by the vacation tables, which run four trees at once).
-  std::chrono::microseconds interPassPause{0};
   // Access-frequency splaying (docs/splaying.md). Requires rotations and
   // targeted maintenance: the access ticks ride the violation queue and the
   // promotions ride the maintenance rotation machinery. Ignored (treated as
@@ -324,19 +318,33 @@ class SFTree {
   bool reserveAbsentTx(stm::Tx& tx, Key k);
 
   // --- maintenance control --------------------------------------------------
+  // startMaintenance() attaches the tree to a one-worker scheduler it owns
+  // (shard::dedicatedRotatorConfig); no-op while attached. maintainWith()
+  // attaches it to `scheduler` (not owned, must outlive the attachment)
+  // instead of the current driver, registering the pass, the updateTicks
+  // work signal and the violationQueueDepth load. Both do nothing on a tree
+  // with neither rotations nor removals.
   void startMaintenance();
+  void maintainWith(shard::MaintenanceScheduler& scheduler, std::string name);
+  // Detaches; blocks until an in-flight pass has finished. The destructor
+  // detaches too.
   void stopMaintenance();
-  bool maintenanceRunning() const { return maintenanceThread_.joinable(); }
+  // Nesting pause: blocks until an in-flight pass has finished; a paused
+  // tree counts as stopped for quiesceNow() and the quiesced walks. No-ops
+  // while detached; detaching drops the pauses.
+  void pauseMaintenance();
+  void resumeMaintenance();
+  bool maintenanceRunning() const;  // attached (paused or not)
   // One full depth-first maintenance pass (propagation + rotations +
   // physical removals + GC epoch) on the calling thread; returns true when
-  // the pass performed at least one structural change. This is the hook an
-  // external scheduler drives; at most one thread may run it at a time and
-  // it must not race the dedicated maintenance thread. `cancel` (optional)
-  // aborts the traversal early when set to true.
+  // the pass performed at least one structural change. This is what the
+  // driving scheduler runs; at most one thread may run it at a time, so
+  // call it by hand only while maintenance is stopped or paused. `cancel`
+  // (optional) aborts the traversal early when set to true.
   bool runMaintenancePass(const std::atomic<bool>* cancel = nullptr);
   // Runs maintenance traversals on the calling thread until a full pass
-  // performs no structural change (tests; maintenance thread must be
-  // stopped). Returns the number of passes.
+  // performs no structural change (maintenance must be stopped or
+  // paused). Returns the number of passes.
   int quiesceNow(int maxPasses = 1000);
 
   MaintenanceStats maintenanceStats() const;
@@ -430,7 +438,11 @@ class SFTree {
   bool tryRemovePhysical(SFNode* parent, bool leftChild);
 
   // --- maintenance ----------------------------------------------------------
-  void maintenanceLoop();
+  // driverMu_ held. attachLocked expects a detached tree; a null scheduler
+  // means one of the tree's own.
+  void attachLocked(shard::MaintenanceScheduler* scheduler, std::string name);
+  void detachLocked();
+  bool passesMayRun() const;  // attached and not paused
   // One maintenance pass body: optional targeted drain plus (when
   // `fullSweep`) a depth-first sweep, bracketed by one GC epoch. A
   // `sweepDeferrable` sweep (the periodic fallback) is skipped when the
@@ -530,13 +542,11 @@ class SFTree {
   std::uint32_t splayBudgetLeft_ = 0;
   bool splayBudgetHit_ = false;
 
-  std::thread maintenanceThread_;
-  std::atomic<bool> stopFlag_{false};
   MaintenanceStats maintStats_;
   mutable std::mutex maintStatsMu_;
   // Passes since the last full sweep, and nodes visited by the current
-  // pass (maintenance thread / single external worker only, like the limbo
-  // list; passVisited_ folds into maintStats_ under the mutex per pass).
+  // pass (touched only by the thread running the pass, like the limbo list;
+  // passVisited_ folds into maintStats_ under the mutex per pass).
   int passesSinceSweep_ = 0;
   std::uint64_t passVisited_ = 0;
   // Scratch for processViolation's root-path walk (consumer-only).
@@ -557,8 +567,20 @@ class SFTree {
   std::vector<DrainEntry> drainBuf_;
   std::uint64_t passPrefixSkips_ = 0;
 
-  std::atomic<std::int64_t> sizeEstimate_{0};
+  // Bumped by every update: a cache line apart from the maintenance
+  // worker's scratch above, which it writes on every drained entry.
+  alignas(64) std::atomic<std::int64_t> sizeEstimate_{0};
   std::atomic<std::uint64_t> updateTicks_{0};
+
+  // The scheduler driving the passes (null = none), the registration and
+  // its pause depth. ownDriver_ is set when the driver is the tree's own;
+  // declared last, so its worker stops before anything a pass touches dies.
+  mutable std::mutex driverMu_;
+  shard::MaintenanceScheduler* driver_ = nullptr;
+  shard::MaintenanceScheduler::TreeHandle driverHandle_ =
+      shard::MaintenanceScheduler::kInvalidHandle;
+  int pauseDepth_ = 0;
+  std::unique_ptr<shard::MaintenanceScheduler> ownDriver_;
 };
 
 }  // namespace sftree::trees

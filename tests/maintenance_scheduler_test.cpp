@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "shard/maintenance_scheduler.hpp"
+#include "trees/map_interface.hpp"
 #include "trees/sftree.hpp"
 #include "trees/tree_checks.hpp"
 
@@ -105,7 +107,6 @@ TEST(MaintenanceSchedulerTest, FewWorkersQuiesceManyTrees) {
 TEST(MaintenanceSchedulerTest, UnregisterRacesWithRunningPasses) {
   shard::MaintenanceSchedulerConfig cfg;
   cfg.workers = 2;
-  cfg.hotPause = std::chrono::microseconds(0);
   shard::MaintenanceScheduler scheduler(cfg);
 
   constexpr int kRounds = 40;
@@ -328,6 +329,51 @@ TEST(MaintenanceSchedulerTest, LoadSteersWorkersToTheHottestTree) {
   }
   scheduler.unregisterTree(hot);
   scheduler.unregisterTree(cold);
+}
+
+// A makeMap tree attached to a shared scheduler registers its
+// violation-queue depth as the load gauge. A blocker entry occupies the
+// single worker while the insert burst lands, then overtakes the tree by
+// load at the next scan and blocks again: exactly one scan sees the tree's
+// queue, and the tree has not drained it before the stats are read.
+TEST(MaintenanceSchedulerTest, MakeMapTreeReportsQueueDepthAsLoad) {
+  shard::MaintenanceSchedulerConfig cfg;
+  cfg.workers = 1;
+  shard::MaintenanceScheduler scheduler(cfg);
+
+  std::atomic<int> started{0};
+  std::atomic<int> released{0};
+  const auto blocker = scheduler.registerTree(
+      "blocker",
+      [&](const std::atomic<bool>*) {
+        const int pass = started.fetch_add(1) + 1;
+        while (pass <= 2 && released.load() < pass) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        return true;
+      },
+      nullptr, [] { return std::numeric_limits<std::uint64_t>::max(); });
+  waitFor([&] { return started.load() == 1; });
+
+  trees::MapOptions opt;
+  opt.scheduler = &scheduler;
+  opt.name = "map";
+  auto map = trees::makeMap(trees::MapKind::OptSFTree,
+                            sftree::stm::TxKind::Normal, opt);
+  for (Key k = 0; k < 256; ++k) map->insert(k, k);
+
+  released.store(1);
+  waitFor([&] { return started.load() == 2; });
+  for (const auto& t : scheduler.treeStats()) {
+    if (t.name == "map") {
+      EXPECT_GT(t.lastLoad, 0u);
+      EXPECT_EQ(t.passes, 0u);
+    }
+  }
+  released.store(2);
+  map.reset();
+  scheduler.unregisterTree(blocker);
+  EXPECT_EQ(scheduler.registeredCount(), 0u);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // copy-on-rotate), balance convergence, and quiescence-based reclamation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "bench_core/rng.hpp"
+#include "shard/maintenance_scheduler.hpp"
 #include "trees/sftree.hpp"
 #include "trees/tree_checks.hpp"
 
@@ -286,6 +288,47 @@ TEST(SFTreeMaintenanceTest, StartStopIsIdempotent) {
   tree.stopMaintenance();  // no-op
   tree.startMaintenance();
   EXPECT_TRUE(tree.maintenanceRunning());
+}
+
+// A tree attached to a shared scheduler: maintainWith registers it, nested
+// pauses hold off every pass until the last resume, and destroying the tree
+// unregisters it (the scheduler outlives the tree).
+TEST(SFTreeMaintenanceTest, SharedSchedulerAttachPauseAndDestroy) {
+  sftree::shard::MaintenanceScheduler scheduler;
+  const auto traversals = [](const SFTree& t) {
+    return t.maintenanceStats().traversals;
+  };
+  const auto waitForPassBeyond = [&](const SFTree& t, std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (traversals(t) <= n) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  {
+    SFTreeConfig cfg;
+    cfg.startMaintenance = false;
+    SFTree tree(cfg);
+    EXPECT_FALSE(tree.maintenanceRunning());
+    tree.maintainWith(scheduler, "attached");
+    EXPECT_TRUE(tree.maintenanceRunning());
+    EXPECT_EQ(scheduler.registeredCount(), 1u);
+    for (Key k = 0; k < 256; ++k) tree.insert(k, k);
+    waitForPassBeyond(tree, 0);
+
+    tree.pauseMaintenance();
+    tree.pauseMaintenance();
+    const std::uint64_t frozen = traversals(tree);
+    for (Key k = 256; k < 512; ++k) tree.insert(k, k);
+    tree.resumeMaintenance();  // the other pause still holds
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_EQ(traversals(tree), frozen);
+    EXPECT_TRUE(tree.maintenanceRunning());
+    tree.resumeMaintenance();
+    waitForPassBeyond(tree, frozen);
+  }
+  EXPECT_EQ(scheduler.registeredCount(), 0u);
 }
 
 TEST(SFTreeMaintenanceTest, NoRestructuringConfigNeverRotates) {

@@ -3,6 +3,7 @@
 // linearizability, maintenance unlinking and reclamation.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <thread>
 
@@ -142,6 +143,14 @@ TEST(SkipListTest, PerKeyLinearizabilityUnderChurn) {
     });
   }
   for (auto& th : threads) th.join();
+  // The background driver, not quiesceNow, unlinks the erased towers.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sl.unlinksForTest() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(sl.unlinksForTest(), 0u);
   sl.stopMaintenance();
   sl.quiesceNow();
   for (Key k = 0; k < kRange; ++k) {
