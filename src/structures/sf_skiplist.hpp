@@ -73,8 +73,8 @@ class SFSkipList {
   void startMaintenance();
   void stopMaintenance();
   bool maintenanceRunning() const { return driver_ != nullptr; }
-  // One unlink pass on the calling thread (what the driver runs); true when
-  // it unlinked a tower. By hand only while maintenance is stopped.
+  // One unlink pass on the calling thread (the scheduler's per-pass work);
+  // true when it unlinked a tower. By hand only while maintenance is stopped.
   bool runMaintenancePass(const std::atomic<bool>* cancel = nullptr);
   // Runs unlink passes on the calling thread until nothing changes
   // (maintenance must be stopped).
