@@ -11,6 +11,14 @@ constexpr std::size_t roundUp(std::size_t v, std::size_t a) {
   return (v + a - 1) & ~(a - 1);
 }
 
+// Shard fields change only under the shard's lock, so load + store is an
+// exact update; the atomics serve the lock-free readers.
+template <typename T>
+void addRelaxed(std::atomic<T>& a, T delta) {
+  a.store(a.load(std::memory_order_relaxed) + delta,
+          std::memory_order_relaxed);
+}
+
 }  // namespace
 
 SlabArena::SlabArena(std::size_t blockSize)
@@ -42,24 +50,42 @@ std::size_t SlabArena::threadShard() {
 }
 
 void* SlabArena::allocate() {
-  FreeShard& shard = shards_[threadShard()];
+  FreeShard& own = shards_[threadShard()];
   {
-    std::lock_guard<std::mutex> lk(shard.mu);
-    if (FreeNode* n = shard.head) {
-      shard.head = n->next;
-      allocated_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(own.mu);
+    if (FreeNode* n = own.head) {
+      own.head = n->next;
+      own.count.store(own.count.load(std::memory_order_relaxed) - 1,
+                      std::memory_order_relaxed);
+      addRelaxed(own.allocated, std::uint64_t{1});
       return n;
     }
   }
-  void* p = refill(shard);
-  allocated_.fetch_add(1, std::memory_order_relaxed);
-  return p;
+  // Own list empty: reuse blocks other threads freed before carving new ones.
+  Chain c = adopt(own);
+  if (c.count == 0) c = carve();
+  return takeOneSpliceRest(own, c);
 }
 
-void* SlabArena::refill(FreeShard& shard) {
+SlabArena::Chain SlabArena::adopt(const FreeShard& own) {
+  const auto self = static_cast<std::size_t>(&own - shards_);
+  for (std::size_t i = 1; i < kFreeShards; ++i) {
+    FreeShard& other = shards_[(self + i) & (kFreeShards - 1)];
+    if (other.count.load(std::memory_order_relaxed) < kAdoptMin) continue;
+    std::lock_guard<std::mutex> lk(other.mu);
+    const std::size_t n = other.count.load(std::memory_order_relaxed);
+    if (n < kAdoptMin) continue;  // drained since the hint was read
+    Chain c{other.head, other.tail, n};
+    other.head = nullptr;
+    other.count.store(0, std::memory_order_relaxed);
+    return c;
+  }
+  return {};
+}
+
+SlabArena::Chain SlabArena::carve() {
   unsigned char* first;
-  unsigned char* extraBegin;
-  std::size_t extraCount;
+  std::size_t take;
   {
     std::lock_guard<std::mutex> lk(slabMu_);
     if (bumpNext_ == bumpEnd_) {
@@ -73,26 +99,28 @@ void* SlabArena::refill(FreeShard& shard) {
     }
     const std::size_t avail =
         static_cast<std::size_t>(bumpEnd_ - bumpNext_) / stride_;
-    const std::size_t take = avail < kRefillBatch ? avail : kRefillBatch;
+    take = avail < kRefillBatch ? avail : kRefillBatch;
     first = bumpNext_;
-    extraBegin = bumpNext_ + stride_;
-    extraCount = take - 1;
     bumpNext_ += take * stride_;
   }
-  if (extraCount > 0) {
-    // Chain the surplus blocks and donate them to the caller's shard.
-    auto* head = reinterpret_cast<FreeNode*>(extraBegin);
-    auto* tail =
-        reinterpret_cast<FreeNode*>(extraBegin + (extraCount - 1) * stride_);
-    for (std::size_t i = 0; i + 1 < extraCount; ++i) {
-      reinterpret_cast<FreeNode*>(extraBegin + i * stride_)->next =
-          reinterpret_cast<FreeNode*>(extraBegin + (i + 1) * stride_);
-    }
-    std::lock_guard<std::mutex> lk(shard.mu);
-    tail->next = shard.head;
-    shard.head = head;
+  for (std::size_t i = 0; i + 1 < take; ++i) {
+    reinterpret_cast<FreeNode*>(first + i * stride_)->next =
+        reinterpret_cast<FreeNode*>(first + (i + 1) * stride_);
   }
-  return first;
+  return {reinterpret_cast<FreeNode*>(first),
+          reinterpret_cast<FreeNode*>(first + (take - 1) * stride_), take};
+}
+
+void* SlabArena::takeOneSpliceRest(FreeShard& shard, Chain c) {
+  std::lock_guard<std::mutex> lk(shard.mu);
+  if (c.count > 1) {
+    c.tail->next = shard.head;
+    if (shard.head == nullptr) shard.tail = c.tail;
+    shard.head = c.head->next;
+    addRelaxed(shard.count, c.count - 1);
+  }
+  addRelaxed(shard.allocated, std::uint64_t{1});
+  return c.head;
 }
 
 void SlabArena::pushFree(void* p) {
@@ -100,8 +128,10 @@ void SlabArena::pushFree(void* p) {
   auto* n = static_cast<FreeNode*>(p);
   std::lock_guard<std::mutex> lk(shard.mu);
   n->next = shard.head;
+  if (shard.head == nullptr) shard.tail = n;
   shard.head = n;
-  recycled_.fetch_add(1, std::memory_order_relaxed);
+  addRelaxed(shard.count, std::size_t{1});
+  addRelaxed(shard.recycled, std::uint64_t{1});
 }
 
 void SlabArena::recycle(void* p) {
@@ -111,8 +141,24 @@ void SlabArena::recycle(void* p) {
 }
 
 std::size_t SlabArena::slabCount() const {
-  std::lock_guard<std::mutex> lk(const_cast<std::mutex&>(slabMu_));
+  std::lock_guard<std::mutex> lk(slabMu_);
   return slabs_.size();
+}
+
+std::uint64_t SlabArena::allocated() const {
+  std::uint64_t sum = 0;
+  for (const FreeShard& s : shards_) {
+    sum += s.allocated.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
+std::uint64_t SlabArena::recycled() const {
+  std::uint64_t sum = 0;
+  for (const FreeShard& s : shards_) {
+    sum += s.recycled.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 }  // namespace sftree::mem

@@ -10,9 +10,22 @@
 //   * slabs: 64 KiB chunks, aligned to their own size, carved into
 //     cache-line-aligned blocks of one fixed stride — no per-block header,
 //     adjacent allocations are adjacent in memory;
-//   * per-thread free-list shards: frees and reuses hash the calling thread
-//     onto one of several independently locked free lists, so concurrent
-//     allocation/retirement does not serialize on one lock;
+//   * per-thread free-list shards with adoption: a free goes onto the
+//     calling thread's shard (one of several independently locked lists),
+//     so concurrent allocation/retirement does not serialize on one lock.
+//     In the paper's design the maintenance thread frees nearly every node
+//     the application threads allocate, so an allocation that finds its own
+//     list empty takes over another shard's whole list before it carves
+//     fresh blocks: it detaches that list in O(1) under that shard's lock
+//     alone (never two shard locks at once) and splices it into its own.
+//     Shards whose lock-free count hint is below kAdoptMin blocks are
+//     skipped, so a fill (every list empty) takes no extra lock. A slab is
+//     carved only when no shard holds kAdoptMin blocks, which bounds an
+//     arena's footprint at
+//         peak live blocks + kFreeShards x (kAdoptMin + kRefillBatch)
+//     blocks (rounded up to whole slabs; the hints are racy, so a block
+//     being freed concurrently with the check may be missed) instead of
+//     letting it grow with run time;
 //   * GC integration: `SlabArena::recycle(p)` finds the owning arena from
 //     the slab header (slab base = pointer rounded down to the slab size),
 //     so a limbo-list deleter can return a node to the arena of whatever
@@ -22,10 +35,12 @@
 // protocol: a node is only retired into the arena by the limbo list after
 // every operation that could still reference it has closed its bracket in
 // the process-wide registry (gc/thread_registry.hpp), exactly as with the
-// global allocator before. The arena never returns memory to the OS while
-// alive; slabs are freed wholesale in the destructor — for a shard retired
-// by a merge, only after ThreadRegistry::synchronize() has waited out every
-// bracket that could still reach the tree.
+// global allocator before (or by an aborted transaction's rollback, for a
+// node no other thread ever saw). Moving a free block between shards does
+// not change when it became free. The arena never returns memory to the OS
+// while alive; slabs are freed wholesale in the destructor — for a shard
+// retired by a merge, only after ThreadRegistry::synchronize() has waited
+// out every bracket that could still reach the tree.
 #pragma once
 
 #include <atomic>
@@ -71,12 +86,8 @@ class SlabArena {
 
   // Diagnostics (racy snapshots, test use).
   std::size_t slabCount() const;
-  std::uint64_t allocated() const {
-    return allocated_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t recycled() const {
-    return recycled_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t allocated() const;
+  std::uint64_t recycled() const;
   // Blocks currently handed out (allocated - recycled).
   std::int64_t liveBlocks() const {
     return static_cast<std::int64_t>(allocated()) -
@@ -84,6 +95,10 @@ class SlabArena {
   }
 
  private:
+  // A shard's list is adopted only when its count hint reaches this, so an
+  // adoption moves enough blocks to pay for the foreign lock it takes.
+  static constexpr std::size_t kAdoptMin = 64;
+
   struct FreeNode {
     FreeNode* next;
   };
@@ -93,15 +108,34 @@ class SlabArena {
     SlabArena* owner;
   };
 
+  // Every field is written only under `mu`. The atomics let adopters read
+  // `count` as a lock-free hint and the diagnostics sum the tallies without
+  // the lock; writers store load+1 rather than read-modify-write.
   struct alignas(64) FreeShard {
     std::mutex mu;
     FreeNode* head = nullptr;
+    FreeNode* tail = nullptr;  // valid while head != nullptr
+    std::atomic<std::size_t> count{0};       // blocks on the list
+    std::atomic<std::uint64_t> allocated{0};  // handed out by this shard
+    std::atomic<std::uint64_t> recycled{0};   // freed onto this shard
+  };
+
+  // A detached chain of free blocks.
+  struct Chain {
+    FreeNode* head = nullptr;
+    FreeNode* tail = nullptr;
+    std::size_t count = 0;
   };
 
   void pushFree(void* p);
-  // Carves up to kRefillBatch fresh blocks; returns one and pushes the rest
-  // onto `shard`.
-  void* refill(FreeShard& shard);
+  // Takes the whole list of the first other shard holding at least
+  // kAdoptMin blocks; an empty chain when none does.
+  Chain adopt(const FreeShard& own);
+  // Carves up to kRefillBatch fresh blocks from the bump region.
+  Chain carve();
+  // Locks `shard`, hands out `c`'s first block and splices the rest onto
+  // the shard's list.
+  static void* takeOneSpliceRest(FreeShard& shard, Chain c);
 
   static std::size_t threadShard();
 
@@ -110,13 +144,10 @@ class SlabArena {
 
   FreeShard shards_[kFreeShards];
 
-  std::mutex slabMu_;  // guards slabs_ and the bump region
+  mutable std::mutex slabMu_;  // guards slabs_ and the bump region
   std::vector<void*> slabs_;
   unsigned char* bumpNext_ = nullptr;
   unsigned char* bumpEnd_ = nullptr;
-
-  std::atomic<std::uint64_t> allocated_{0};
-  std::atomic<std::uint64_t> recycled_{0};
 };
 
 // Typed convenience wrapper: placement-construction plus a deleter with the

@@ -43,7 +43,11 @@
 //    drain order is irrelevant (repair is idempotent and positional).
 //  * Arena-backed entries. Entry nodes come from a mem::SlabArena and are
 //    recycled by the consumer, so steady-state enqueue/drain allocates
-//    nothing from the global heap (same motivation as the tree node arenas).
+//    nothing from the global heap (same motivation as the tree node arenas)
+//    and no new slabs: the producers allocate, the consumer frees onto its
+//    own free-list shard, and a producer whose shard runs dry takes over
+//    the consumer's list (see mem/arena.hpp), so the arena stays at the
+//    peak queue depth plus a fixed per-shard slack.
 //  * Lossy commit-time dedup, one claim space per kind. A small table of
 //    per-slot key claims (hash(key) -> key) absorbs the common burst of
 //    repeated updates to one hot key: an enqueue whose claim is already

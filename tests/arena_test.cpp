@@ -1,14 +1,18 @@
 // Slab arena (src/mem/arena.hpp): block recycling, header-routed recycle
-// from foreign threads, concurrent allocate/recycle stress, and the
-// integration with the quiescence GC — recycled nodes must never be handed
-// out while a pre-retirement reader could still dereference them (no ABA on
-// recycled nodes; the ThreadSanitizer CI job runs this suite too).
+// from foreign threads, reuse of blocks freed on another thread (bounded
+// footprint), concurrent allocate/recycle stress, and the integration with
+// the quiescence GC — recycled nodes must never be handed out while a
+// pre-retirement reader could still dereference them (no ABA on recycled
+// nodes; the ThreadSanitizer CI job runs this suite too).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mem/arena.hpp"
@@ -91,11 +95,110 @@ TEST(SlabArenaTest, NodeArenaConstructsAndDestroys) {
   EXPECT_EQ(arena.raw().liveBlocks(), 0);
 }
 
+// The paper's split of work: the maintenance thread frees nearly every node
+// the application threads allocate. Each round one thread allocates and
+// another recycles; the allocating thread must reuse the other thread's
+// frees instead of carving new slabs, so the footprint stops growing after
+// the first round (each round would otherwise carve about 8 more slabs).
+TEST(SlabArenaTest, CrossThreadReuseBoundsFootprint) {
+  mem::SlabArena arena(128);
+  constexpr int kRounds = 64;
+  constexpr int kBlocks = 4096;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<void*> handoff;
+  bool done = false;
+  std::thread recycler([&] {
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      cv.wait(lk, [&] { return !handoff.empty() || done; });
+      if (handoff.empty()) return;
+      for (void* p : handoff) mem::SlabArena::recycle(p);
+      handoff.clear();
+      cv.notify_all();
+    }
+  });
+  std::size_t slabsAfterFirst = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<void*> blocks(kBlocks);
+    for (void*& p : blocks) p = arena.allocate();
+    {
+      std::unique_lock<std::mutex> lk(mu);
+      handoff = std::move(blocks);
+      cv.notify_all();
+      cv.wait(lk, [&] { return handoff.empty(); });
+    }
+    if (r == 0) slabsAfterFirst = arena.slabCount();
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    done = true;
+  }
+  cv.notify_all();
+  recycler.join();
+  EXPECT_EQ(arena.liveBlocks(), 0);
+  EXPECT_GE(slabsAfterFirst, kBlocks * 128 / mem::SlabArena::kSlabBytes);
+  EXPECT_LE(arena.slabCount(), slabsAfterFirst + 2)
+      << "blocks freed on the recycler thread were not reused";
+}
+
+// Mixed threads allocate and recycle their own blocks; producer threads only
+// allocate and hand their blocks to consumer threads, which only recycle —
+// so producers keep taking over the consumers' lists while the consumers
+// push onto them.
 TEST(SlabArenaTest, ConcurrentAllocateRecycleStress) {
   mem::SlabArena arena(sizeof(TestNode));
   constexpr int kThreads = 4;
   constexpr int kIters = 20000;
+  constexpr int kPairs = 2;
+  constexpr int kPairBlocks = 40000;
+  constexpr std::size_t kBatch = 256;
+  struct Handoff {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::vector<void*>> batches;
+    bool done = false;
+  };
+  Handoff pairs[kPairs];
   std::vector<std::thread> threads;
+  for (int t = 0; t < kPairs; ++t) {
+    Handoff& h = pairs[t];
+    threads.emplace_back([&arena, &h, t] {
+      std::vector<void*> batch;
+      for (int i = 0; i < kPairBlocks; ++i) {
+        const auto v = static_cast<std::uint64_t>(i) * (t + 1);
+        batch.push_back(new (arena.allocate()) TestNode(v));
+        if (batch.size() == kBatch || i + 1 == kPairBlocks) {
+          std::lock_guard<std::mutex> lk(h.mu);
+          h.batches.push_back(std::move(batch));
+          batch.clear();
+          h.cv.notify_one();
+        }
+      }
+      std::lock_guard<std::mutex> lk(h.mu);
+      h.done = true;
+      h.cv.notify_one();
+    });
+    threads.emplace_back([&h] {
+      for (;;) {
+        std::vector<std::vector<void*>> mine;
+        {
+          std::unique_lock<std::mutex> lk(h.mu);
+          h.cv.wait(lk, [&] { return !h.batches.empty() || h.done; });
+          if (h.batches.empty()) return;
+          mine.swap(h.batches);
+        }
+        for (const auto& batch : mine) {
+          for (void* p : batch) {
+            auto* n = static_cast<TestNode*>(p);
+            EXPECT_EQ(n->b, ~n->a);  // contents never trampled while live
+            n->~TestNode();
+            mem::SlabArena::recycle(n);
+          }
+        }
+      }
+    });
+  }
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&arena, t] {
       std::vector<void*> mine;
