@@ -22,6 +22,10 @@ constexpr int kFindStepLimit = 1'000'000;
 // are at worst linear in size, which fits comfortably.
 constexpr int kMaintenanceDepthLimit = 1 << 20;
 
+bool isCancelled(const std::atomic<bool>* cancel) {
+  return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 SFTree::SFTree(SFTreeConfig cfg)
@@ -514,6 +518,7 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
   SFNode* l = n->left.read(tx);
   if (l == nullptr) return {};
   SFNode* lr = l->right.read(tx);
+  SFNode* r = n->right.read(tx);
 
   if (cfg_.ops == OpsVariant::Portable) {
     // Classical in-place rotation (Figure 2(b)) inside one transaction.
@@ -529,7 +534,6 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
     // Copy-on-rotate (Figure 2(c)): n is unlinked and replaced by a fresh
     // copy n' placed under l, so a traversal preempted at n still has a
     // path to the subtree that held its target.
-    SFNode* r = n->right.read(tx);
     SFNode* nn = arena_.create(n->key, n->value.read(tx));
     tx.onAbortDelete(nn, &SFTree::deleteNode);
     nn->deleted.storeRelaxed(n->deleted.read(tx));
@@ -553,6 +557,7 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
   } else {
     parent->right.write(tx, l);
   }
+  captureIfRemovable(tx, n, lr, r);
   return {true, cfg_.ops == OpsVariant::Optimized ? n : nullptr};
 }
 
@@ -567,6 +572,7 @@ SFTree::StructuralResult SFTree::rotateLeft(stm::Tx& tx, SFNode* parent,
   SFNode* r = n->right.read(tx);
   if (r == nullptr) return {};
   SFNode* rl = r->left.read(tx);
+  SFNode* l = n->left.read(tx);
 
   if (cfg_.ops == OpsVariant::Portable) {
     n->right.write(tx, rl);
@@ -576,7 +582,6 @@ SFTree::StructuralResult SFTree::rotateLeft(stm::Tx& tx, SFNode* parent,
     r->leftH = n->localH;
     r->localH = std::max(r->leftH, r->rightH) + 1;
   } else {
-    SFNode* l = n->left.read(tx);
     SFNode* nn = arena_.create(n->key, n->value.read(tx));
     tx.onAbortDelete(nn, &SFTree::deleteNode);
     nn->deleted.storeRelaxed(n->deleted.read(tx));
@@ -599,6 +604,7 @@ SFTree::StructuralResult SFTree::rotateLeft(stm::Tx& tx, SFNode* parent,
   } else {
     parent->right.write(tx, r);
   }
+  captureIfRemovable(tx, n, l, rl);
   return {true, cfg_.ops == OpsVariant::Optimized ? n : nullptr};
 }
 
@@ -667,6 +673,17 @@ void SFTree::captureViolation(stm::Tx& tx, Key k, ViolationKind kind) {
   // dropped on abort. The hook captures only the key — entries must not
   // dangle into nodes the maintenance side may retire.
   tx.onCommit([this, k, kind] { violations_.publish(k, kind); });
+}
+
+void SFTree::captureIfRemovable(stm::Tx& tx, SFNode* n, SFNode* left,
+                                SFNode* right) {
+  // A rotation hands the demoted node one of its former grandchildren in
+  // place of a child. A logically deleted node that had two children may be
+  // left with at most one, i.e. removable — and no root-path repair climbs
+  // through it, so without an entry it would wait for a sweep.
+  if ((left == nullptr || right == nullptr) && n->deleted.read(tx)) {
+    captureViolation(tx, n->key, ViolationKind::kErase);
+  }
 }
 
 void SFTree::captureAccess(stm::Tx& tx, Key k) {
@@ -786,8 +803,7 @@ bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
   if (!fullSweep) {
     // Periodic fallback sweep: the safety net for anything the queue could
     // not carry — drain/update races absorbed by the dedup handshake,
-    // deleted two-child nodes that only became removable after their
-    // subtree emptied, dropped captures on overflow. The *periodic* sweep
+    // dropped captures on overflow, estimate drift. The *periodic* sweep
     // is deferrable: a drain that carried only kAccess splay traffic left
     // no structural debt for the sweep to find (maintainOnce decides). An
     // overflow sweep is not — dropped captures are exactly the missed work
@@ -821,9 +837,7 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
   bool didWork = false;
   bool sawStructural = false;
   bool sweepDeferred = false;
-  if (cfg_.targetedMaintenance) {
-    if (drainViolations(cancel, sawStructural)) didWork = true;
-  }
+  if (cfg_.targetedMaintenance) sawStructural = collectViolations(cancel);
   if (fullSweep && sweepDeferrable && !sawStructural &&
       cfg_.fullSweepPeriod > 0 &&
       passesSinceSweep_ < 4 * cfg_.fullSweepPeriod) {
@@ -835,10 +849,21 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     fullSweep = false;
     sweepDeferred = true;
   }
+  bool swept = false;
   if (fullSweep) {
+    // The sweep starts after the collection, so it visits every node the
+    // collected structural entries name (their updates committed before
+    // they were published) and rebuilds the heights bottom-up — the
+    // paper's propagation. Repairing those entries first would compare
+    // fresh root-path heights with off-path estimates still waiting for
+    // their own entries later in the batch, and rotate a balanced tree.
     SFNode* top = root_->left.loadAcquire();
     maintainSubtree(root_, top, /*leftChild=*/true, didWork, 0, cancel);
     passesSinceSweep_ = 0;
+    swept = !isCancelled(cancel);  // a cancelled sweep may have stopped short
+  }
+  if (cfg_.targetedMaintenance && repairViolations(cancel, swept)) {
+    didWork = true;
   }
   limbo_.tryCollect();
   {
@@ -875,38 +900,43 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
 // tree (the runMaintenancePass contract): concurrent abstract operations
 // only link fresh leaves (published with release stores) and flip flags.
 // --------------------------------------------------------------------------
-bool SFTree::drainViolations(const std::atomic<bool>* cancel,
-                             bool& sawStructural) {
-  bool didWork = false;
-  // Collect, then sort by key, then repair: key-sorted neighbors share the
-  // longest possible root-path prefixes, so each repair can resume the
-  // previous entry's recorded walk instead of re-descending from the root
-  // (sharedPrefixSkips counts the avoided steps). The dedup claims were
-  // already released by the drain, so a concurrent update to a collected
-  // key re-enqueues normally and is simply repaired again next pass.
+bool SFTree::collectViolations(const std::atomic<bool>* cancel) {
+  // Sort by key: key-sorted neighbors share the longest possible root-path
+  // prefixes, so each repair can resume the previous entry's recorded walk
+  // instead of re-descending from the root (sharedPrefixSkips counts the
+  // avoided steps). The dedup claims are released by the drain, so a
+  // concurrent update to a collected key re-enqueues normally and is simply
+  // repaired again next pass.
   drainBuf_.clear();
+  bool sawStructural = false;
   violations_.drain([&](Key k, ViolationKind kind, std::uint32_t weight) {
     drainBuf_.push_back(DrainEntry{k, weight, kind});
-    return cancel == nullptr || !cancel->load(std::memory_order_relaxed);
+    sawStructural |= kind != ViolationKind::kAccess;
+    return !isCancelled(cancel);
   });
   std::sort(drainBuf_.begin(), drainBuf_.end(),
             [](const DrainEntry& a, const DrainEntry& b) {
               return a.key < b.key;
             });
+  return sawStructural;
+}
+
+bool SFTree::repairViolations(const std::atomic<bool>* cancel,
+                              bool accessOnly) {
+  bool didWork = false;
   bool reusePath = false;
-  for (std::size_t i = 0; i < drainBuf_.size(); ++i) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      // Cancelled mid-batch: hand the unprocessed tail back to the queue so
+  bool cancelled = false;
+  for (const DrainEntry& e : drainBuf_) {
+    if (accessOnly && e.kind != ViolationKind::kAccess) continue;
+    cancelled = cancelled || isCancelled(cancel);
+    if (cancelled) {
+      // Cancelled mid-batch: hand the unrepaired tail back to the queue so
       // the next pass (or quiesceNow) repairs it. An access entry's
       // absorbed-tick weight is dropped by the round-trip — heat is a lossy
       // estimate by contract.
-      for (std::size_t j = i; j < drainBuf_.size(); ++j) {
-        violations_.publish(drainBuf_[j].key, drainBuf_[j].kind);
-      }
-      break;
+      violations_.publish(e.key, e.kind);
+      continue;
     }
-    const DrainEntry& e = drainBuf_[i];
-    if (e.kind != ViolationKind::kAccess) sawStructural = true;
     bool entryWork = false;
     processViolation(e.key, e.kind, e.weight, entryWork, reusePath);
     didWork |= entryWork;
@@ -1148,8 +1178,9 @@ bool SFTree::tryRemoveAt(SFNode* parent, SFNode*& node, bool leftChild,
   if (node->left.loadAcquire() != nullptr &&
       node->right.loadAcquire() != nullptr) {
     // Only nodes with at most one child are physically removed; a deleted
-    // two-child node becomes removable once one side empties (rediscovered
-    // by the fallback sweep).
+    // two-child node becomes removable once one side empties — by a
+    // removal below it, after which the targeted climb and the sweep
+    // re-probe it, or by a rotation that demotes it, which queues its key.
     return false;
   }
   if (tryRemovePhysical(parent, leftChild)) {
@@ -1171,7 +1202,9 @@ bool SFTree::rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
                          bool& didWork) {
   // Refresh this node's balance estimates from its children's stored ones
   // (paper §3.1, "propagation"; the estimates are maintenance-private and
-  // tolerate staleness — off-path subtrees carry their own queue entries).
+  // tolerate staleness — off-path subtrees carry their own queue entries,
+  // though those may be repaired later in the same batch, which is why a
+  // sweeping pass lets its bottom-up sweep cover the batch instead).
   SFNode* l = node->left.loadAcquire();
   SFNode* r = node->right.loadAcquire();
   const int lh = l != nullptr ? l->localH : 0;
@@ -1260,7 +1293,7 @@ void SFTree::maintainSubtree(SFNode* parent, SFNode* node, bool leftChild,
                              const std::atomic<bool>* cancel) {
   if (node == nullptr) return;
   if (depth > kMaintenanceDepthLimit) return;
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) return;
+  if (isCancelled(cancel)) return;
   ++passVisited_;
 
   // Physical removal first; continue with whatever took the node's place.
@@ -1274,6 +1307,13 @@ void SFTree::maintainSubtree(SFNode* parent, SFNode* node, bool leftChild,
                   depth + 1, cancel);
   maintainSubtree(node, node->right.loadAcquire(), /*leftChild=*/false,
                   didWork, depth + 1, cancel);
+  // A removal below may have emptied one side of a deleted two-child node:
+  // probe it again, as the targeted climb would (whatever replaces it was
+  // swept already).
+  while (tryRemoveAt(parent, node, leftChild, didWork)) {
+    if (node != nullptr) ++passVisited_;
+  }
+  if (node == nullptr) return;
   rebalanceAt(parent, node, leftChild, didWork);
 }
 
@@ -1281,13 +1321,13 @@ int SFTree::quiesceNow(int maxPasses) {
   assert(!passesMayRun() &&
          "stop or pause maintenance before quiescing manually");
   for (int pass = 1; pass <= maxPasses; ++pass) {
-    // Drain the queue first; once it is empty every pass includes a full
-    // sweep, and a clean sweep over an empty queue is the fixpoint.
-    const bool sweep =
-        !cfg_.targetedMaintenance || violations_.depth() == 0;
-    violations_.consumeOverflow();  // sweeps below cover any dropped entries
-    const bool didWork = maintainOnce(nullptr, sweep);
-    if (!didWork && sweep && violations_.depth() == 0) return pass;
+    // Every pass sweeps, so the queued structural entries are covered by the
+    // sweep instead of repaired one root-path at a time (a balanced fill's
+    // inserts then cost no rotation), and a clean sweep over an empty queue
+    // is the fixpoint.
+    violations_.consumeOverflow();  // the sweep covers any dropped entries
+    const bool didWork = maintainOnce(nullptr, /*fullSweep=*/true);
+    if (!didWork && violations_.depth() == 0) return pass;
   }
   return maxPasses;
 }

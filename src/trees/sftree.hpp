@@ -159,10 +159,11 @@ struct SFTreeConfig {
   bool targetedMaintenance = true;
   // With targeted maintenance, every Nth pass additionally runs a full
   // depth-first sweep as a safety net for missed or stale queue entries
-  // (drain races, deleted two-child nodes that only become removable
-  // later). 0 disables the periodic fallback entirely (an overflowing
-  // queue still forces one); quiesceNow() always finishes with clean
-  // sweeps regardless.
+  // (drain races, dropped captures, estimate drift). A pass that sweeps
+  // repairs only the kAccess entries it collected: the sweep covers the
+  // structural ones. 0 disables the periodic fallback entirely (an
+  // overflowing queue still forces one); quiesceNow() sweeps on every pass
+  // regardless.
   int fullSweepPeriod = 64;
   // Access-frequency splaying (docs/splaying.md). Requires rotations and
   // targeted maintenance: the access ticks ride the violation queue and the
@@ -342,9 +343,11 @@ class SFTree {
   // call it by hand only while maintenance is stopped or paused. `cancel`
   // (optional) aborts the traversal early when set to true.
   bool runMaintenancePass(const std::atomic<bool>* cancel = nullptr);
-  // Runs maintenance traversals on the calling thread until a full pass
-  // performs no structural change (maintenance must be stopped or
-  // paused). Returns the number of passes.
+  // Runs maintenance passes on the calling thread until one performs no
+  // structural change and leaves the queue empty (maintenance must be
+  // stopped or paused). Every pass sweeps, so the queued inserts and erases
+  // cost no root-path repairs: a balanced fill quiesces in one pass with no
+  // rotation. Returns the number of passes.
   int quiesceNow(int maxPasses = 1000);
 
   MaintenanceStats maintenanceStats() const;
@@ -443,25 +446,34 @@ class SFTree {
   void attachLocked(shard::MaintenanceScheduler* scheduler, std::string name);
   void detachLocked();
   bool passesMayRun() const;  // attached and not paused
-  // One maintenance pass body: optional targeted drain plus (when
-  // `fullSweep`) a depth-first sweep, bracketed by one GC epoch. A
-  // `sweepDeferrable` sweep (the periodic fallback) is skipped when the
-  // drain carried only kAccess entries — splay traffic is not the kind of
+  // One maintenance pass body, bracketed by one GC epoch: collect the
+  // queued entries (targeted mode), then (when `fullSweep`) a depth-first
+  // sweep, then repair the collected entries — only the kAccess ones when a
+  // sweep ran to completion, since it already covered the structural ones.
+  // A `sweepDeferrable` sweep (the periodic fallback) is skipped when the
+  // collected entries were all kAccess — splay traffic is not the kind of
   // missed work the safety-net sweep exists to recover — until the deferral
   // cap (4x fullSweepPeriod) forces it.
   bool maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
                     bool sweepDeferrable = false);
   // Depth-first sweep: propagates heights, triggers rotations/removals.
+  // A node is probed for removal before its subtrees and again after them
+  // (a removal below may have emptied one of its sides), as the targeted
+  // climb re-probes each ancestor.
   void maintainSubtree(SFNode* parent, SFNode* node, bool leftChild,
                        bool& didWork, int depth,
                        const std::atomic<bool>* cancel);
-  // Targeted path: drains the violation queue into drainBuf_, sorts the
-  // entries by key (consecutive entries then share maximal root-path
-  // prefixes, which processViolation reuses), and repairs each. Returns
-  // true when structural work happened; sets `sawStructural` when any
-  // drained entry was a structural kind (kInsert/kErase), the signal the
-  // sweep-deferral backoff keys on.
-  bool drainViolations(const std::atomic<bool>* cancel, bool& sawStructural);
+  // Targeted path, first half: drains the violation queue into drainBuf_
+  // and sorts the entries by key (consecutive entries then share maximal
+  // root-path prefixes, which processViolation reuses). Returns true when
+  // any collected entry is a structural kind (kInsert/kErase), the signal
+  // the sweep-deferral backoff keys on.
+  bool collectViolations(const std::atomic<bool>* cancel);
+  // Second half: repairs the collected entries in key order, skipping the
+  // structural ones when `accessOnly`. A cancelled repair hands every entry
+  // it has not repaired (and was not told to skip) back to the queue.
+  // Returns true when structural work happened.
+  bool repairViolations(const std::atomic<bool>* cancel, bool accessOnly);
   // Repairs one drained queue entry. The kind selects the repair: kInsert
   // rebalances the root-path (no removal probes — any removable node has
   // its own kErase entry), kErase probes the physical removal and skips the
@@ -491,6 +503,12 @@ class SFTree {
                    bool& didWork);
   // Publishes a violation at key k when this update transaction commits.
   void captureViolation(stm::Tx& tx, Key k, ViolationKind kind);
+  // Rotation side: publishes a kErase for the rotated node's key when it is
+  // logically deleted and the rotation left its demoted place (n itself in
+  // the Portable variant, its copy in the Optimized one) with at most one
+  // child — `left`/`right` — so it became removable.
+  void captureIfRemovable(stm::Tx& tx, SFNode* n, SFNode* left,
+                          SFNode* right);
   // Read-path side of the splay heuristic: publishes a sampled kAccess tick
   // at commit (1 per 2^sampleShift lookup hits per thread; no-op unless
   // splaying is enabled, so the read path pays one predictable branch).

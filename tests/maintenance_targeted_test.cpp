@@ -1,6 +1,7 @@
 // Targeted (violation-queue-fed) maintenance: convergence without full
-// sweeps, commit-time capture/dedup semantics, and the enqueue-at-commit vs
-// drain/rotation race under real concurrency (run under TSan in CI).
+// sweeps, how a sweeping pass covers the collected entries, commit-time
+// capture/dedup semantics, and the enqueue-at-commit vs drain/rotation race
+// under real concurrency (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,9 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "trees/sftree.hpp"
@@ -24,9 +27,10 @@ namespace {
 // Targeted-only configuration: no maintenance thread, and the periodic
 // full-sweep fallback disabled, so every bit of restructuring must come
 // from draining the violation queue.
-trees::SFTreeConfig targetedOnly() {
+trees::SFTreeConfig targetedOnly(
+    trees::OpsVariant ops = trees::OpsVariant::Optimized) {
   trees::SFTreeConfig cfg;
-  cfg.ops = trees::OpsVariant::Optimized;
+  cfg.ops = ops;
   cfg.startMaintenance = false;
   cfg.targetedMaintenance = true;
   cfg.fullSweepPeriod = 0;
@@ -46,6 +50,20 @@ int drainToFixpoint(trees::SFTree& tree, int maxPasses = 10'000) {
 
 double log2OfAtLeastOne(std::size_t n) {
   return std::log2(static_cast<double>(std::max<std::size_t>(n, 1)));
+}
+
+// Inserts [0, n) in the level order of a perfectly balanced search tree
+// (median first, then the medians of both halves, and so on).
+void fillLevelOrder(trees::SFTree& tree, Key n) {
+  std::vector<std::pair<Key, Key>> ranges{{0, n}};  // half-open, BFS queue
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    const auto [lo, hi] = ranges[i];
+    if (lo >= hi) continue;
+    const Key mid = lo + (hi - lo) / 2;
+    tree.insert(mid, mid);
+    ranges.emplace_back(lo, mid);
+    ranges.emplace_back(mid + 1, hi);
+  }
 }
 
 // Sequential fill is the worst case for a BST: with sweeps disabled, the
@@ -75,9 +93,13 @@ TEST(MaintenanceTargetedTest, SequentialFillConvergesWithoutSweeps) {
 
 // Random churn: inserts and erases feed the queue; draining must both keep
 // the height logarithmic and physically remove the deleted nodes — all with
-// zero full sweeps.
-TEST(MaintenanceTargetedTest, RandomChurnConvergesAndRemovesWithoutSweeps) {
-  trees::SFTree tree(targetedOnly());
+// zero full sweeps. The targeted fixpoint must leave a sweep nothing to do:
+// a deleted node that a rotation leaves removable is queued by the
+// rotation, so no removal (nor a rotation it would enable) waits for one.
+class RandomChurnTest : public ::testing::TestWithParam<trees::OpsVariant> {};
+
+TEST_P(RandomChurnTest, ConvergesAndRemovesWithoutSweeps) {
+  trees::SFTree tree(targetedOnly(GetParam()));
   constexpr Key kRange = 8192;
   std::mt19937_64 rng(7);
   std::vector<bool> present(kRange, false);
@@ -113,6 +135,106 @@ TEST(MaintenanceTargetedTest, RandomChurnConvergesAndRemovesWithoutSweeps) {
 
   const double bound = 1.7 * log2OfAtLeastOne(tree.structuralSize()) + 3.0;
   EXPECT_LE(tree.height(), bound);
+
+  tree.quiesceNow();
+  const auto swept = tree.maintenanceStats();
+  EXPECT_EQ(swept.removals, ms.removals) << "removals left for the sweep";
+  EXPECT_EQ(swept.rotations, ms.rotations) << "rotations left for the sweep";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OpsVariants, RandomChurnTest,
+    ::testing::Values(trees::OpsVariant::Optimized,
+                      trees::OpsVariant::Portable),
+    [](const ::testing::TestParamInfo<trees::OpsVariant>& info) {
+      return info.param == trees::OpsVariant::Optimized ? "Optimized"
+                                                        : "Portable";
+    });
+
+// A balanced fill leaves maintenance nothing to do. quiesceNow's first pass
+// sweeps, rebuilding every height estimate bottom-up, and so covers the
+// queued inserts: no rotation, no copy-on-rotate allocation, one pass.
+// Repairing the inserts one root-path at a time would compare fresh on-path
+// heights with off-path estimates still waiting for their own entries, and
+// rotate a tree that is already perfect.
+TEST(MaintenanceTargetedTest, QuiesceAfterBalancedFillRotatesNothing) {
+  trees::SFTreeConfig cfg;
+  cfg.startMaintenance = false;
+  trees::SFTree tree(cfg);
+  constexpr Key kKeys = 4095;  // 2^12 - 1: a perfect tree of height 12
+  fillLevelOrder(tree, kKeys);
+  ASSERT_EQ(tree.height(), 12);
+  ASSERT_EQ(tree.violationQueueDepth(), static_cast<std::uint64_t>(kKeys));
+  const std::size_t slabs = tree.arenaForStats().slabCount();
+
+  EXPECT_EQ(tree.quiesceNow(), 1);
+
+  const auto ms = tree.maintenanceStats();
+  EXPECT_EQ(ms.rotations, 0u);
+  EXPECT_EQ(ms.fullSweeps, 1u);
+  EXPECT_EQ(tree.height(), 12);
+  EXPECT_EQ(tree.arenaForStats().slabCount(), slabs);
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  const auto check = trees::checkSFTree(tree);
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
+// A pass that sweeps drops the structural entries it collected, which is
+// only sound when the sweep does what their repairs would have: here the
+// removal of deleted leaf 1 empties one side of deleted node 2, which the
+// targeted climb would re-probe — so the sweep re-probes it too.
+TEST(MaintenanceTargetedTest, SweepingPassCoversCollectedErases) {
+  auto cfg = targetedOnly();
+  cfg.fullSweepPeriod = 1;  // every pass sweeps
+  trees::SFTree tree(cfg);
+  for (Key k : {2, 1, 3}) tree.insert(k, k);  // 2 on top, two children
+  tree.erase(2);
+  tree.erase(1);
+
+  tree.runMaintenancePass();
+
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  EXPECT_EQ(tree.maintenanceStats().removals, 2u);
+  EXPECT_EQ(tree.structuralSize(), 1u);
+  EXPECT_EQ(tree.keysInOrder(), std::vector<Key>{3});
+}
+
+// A cancelled pass must not drop what it collected, even when it was going
+// to sweep: the sweep did not run to completion, so it covers nothing.
+TEST(MaintenanceTargetedTest, CancelledSweepingPassHandsEveryEntryBack) {
+  auto cfg = targetedOnly();
+  cfg.fullSweepPeriod = 1;  // every pass sweeps
+  trees::SFTree tree(cfg);
+  constexpr Key kKeys = 512;
+  for (Key k = 0; k < kKeys; ++k) tree.insert(k, k);  // needs rotations
+  for (Key k = 0; k < kKeys; k += 3) tree.erase(k);   // needs removals
+  const std::uint64_t depth = tree.violationQueueDepth();
+  ASSERT_GT(depth, 0u);
+  const std::size_t nodes = tree.structuralSize();
+  const int height = tree.height();
+
+  std::atomic<bool> cancel{true};
+  EXPECT_FALSE(tree.runMaintenancePass(&cancel));
+
+  auto ms = tree.maintenanceStats();
+  EXPECT_EQ(tree.violationQueueDepth(), depth);
+  EXPECT_EQ(ms.rotations, 0u);
+  EXPECT_EQ(ms.removals, 0u);
+  EXPECT_EQ(tree.structuralSize(), nodes);
+  EXPECT_EQ(tree.height(), height);
+
+  tree.quiesceNow();
+  ms = tree.maintenanceStats();
+  EXPECT_GT(ms.rotations, 0u);
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  const auto check = trees::checkSFTree(tree);
+  EXPECT_TRUE(check.ok) << check.error;
+  std::vector<Key> expected;
+  for (Key k = 0; k < kKeys; ++k) {
+    if (k % 3 != 0) expected.push_back(k);
+  }
+  EXPECT_EQ(tree.keysInOrder(), expected);
+  EXPECT_EQ(tree.structuralSize(), expected.size());
 }
 
 // Commit-time capture must be transactional: aborted updates publish
@@ -172,14 +294,17 @@ TEST(MaintenanceTargetedTest, StaleEntriesDrainHarmlessly) {
 }
 
 // TSan stress: enqueue-at-commit (mutators) racing drain/rotation (the
-// dedicated maintenance thread, frequent fallback sweeps). The tracked net
+// dedicated maintenance thread, frequent fallback sweeps — with period 1
+// every pass sweeps and drops its structural entries). The tracked net
 // insert count must match the final tree exactly.
-TEST(MaintenanceTargetedTest, ConcurrentChurnRacingDrain) {
+class ConcurrentChurnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConcurrentChurnTest, RacingDrain) {
   trees::SFTreeConfig cfg;
   cfg.ops = trees::OpsVariant::Optimized;
   cfg.txKind = sftree::stm::TxKind::Elastic;  // spiciest update mode
   cfg.targetedMaintenance = true;
-  cfg.fullSweepPeriod = 8;
+  cfg.fullSweepPeriod = GetParam();
   trees::SFTree tree(cfg);  // dedicated maintenance thread running
 
   constexpr int kThreads = 4;
@@ -217,6 +342,12 @@ TEST(MaintenanceTargetedTest, ConcurrentChurnRacingDrain) {
   EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end())
       << "duplicate key in the abstraction";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepPeriods, ConcurrentChurnTest, ::testing::Values(8, 1),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "Period" + std::to_string(info.param);
+    });
 
 // The violation queue itself: producer/consumer counters stay consistent
 // under concurrent publishes.
