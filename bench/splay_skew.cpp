@@ -195,10 +195,10 @@ int main(int argc, char** argv) {
   // Arms 0..3: the fig3-style mix (maintenance running, the full system).
   // Arms 4..5: the pure-read overhead probe with maintenance *off* — it
   // isolates the read-path cost of the sampling itself (counter, 1-in-2^N
-  // commit-time publish, dedup absorption in the queue); running the
-  // consumer would measure CPU contention from the drain thread instead,
-  // which the uniform-parity arms already cover with update traffic to
-  // keep both sides' maintenance equally busy.
+  // commit-time publish into the queue); running the consumer would
+  // measure CPU contention from the drain thread instead, which the
+  // uniform-parity arms already cover with update traffic to keep both
+  // sides' maintenance equally busy.
   const Arm kArms[] = {
       {"uniform_off", false, false, updatePercent, true},
       {"uniform_on", false, true, updatePercent, true},

@@ -325,7 +325,7 @@ def check_splay(top, fresh) -> None:
              f"(bound {parity_bound:.2f} for a {kind} report)")
 
     # Read-path gate: the access-tick sampling itself (probe runs without
-    # the maintenance consumer; publishes dedup-absorb in the queue).
+    # the maintenance consumer; publishes accumulate in the queue).
     overhead_bound = 1.06 if fresh else 1.02
     if overhead > overhead_bound:
         fail(f"access-tick sampling costs {overhead:.3f}x on the pure-read "

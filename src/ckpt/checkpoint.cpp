@@ -351,10 +351,6 @@ CheckpointResult CheckpointWriter::write(bool allowReuse) {
   }
   res.bytesWritten += manBuf.size() + footBuf.size();
   std::fflush(f.get());
-  if (cfg_.killBeforeRename) {
-    // Complete temp file, never published: restore must ignore it.
-    std::raise(SIGKILL);
-  }
   f.reset();  // close before rename
   fs::rename(tmpPath, finalPath, ec);
   if (ec) {
@@ -487,7 +483,7 @@ std::unique_ptr<shard::ShardedMap> restore(const std::string& dir,
     shardSlots[static_cast<std::size_t>(assign[s])].push_back(
         static_cast<int>(s));
   }
-  const std::size_t batchKeys = std::max<std::size_t>(1, opt.batchKeys);
+  constexpr std::size_t kBatchKeys = 512;  // keys per adopt transaction
   unsigned p = opt.parallelism > 0
                    ? static_cast<unsigned>(opt.parallelism)
                    : std::max(1u, std::thread::hardware_concurrency());
@@ -502,8 +498,8 @@ std::unique_ptr<shard::ShardedMap> restore(const std::string& dir,
       trees::SFTree& tree = map->shard(i);
       for (const int slot : shardSlots[static_cast<std::size_t>(i)]) {
         const std::vector<KV>& kvl = slotKvs[static_cast<std::size_t>(slot)];
-        for (std::size_t off = 0; off < kvl.size(); off += batchKeys) {
-          const std::size_t n = std::min(batchKeys, kvl.size() - off);
+        for (std::size_t off = 0; off < kvl.size(); off += kBatchKeys) {
+          const std::size_t n = std::min(kBatchKeys, kvl.size() - off);
           const std::size_t adopted = stm::atomically(
               tree.domain(), stm::TxKind::Normal, [&](stm::Tx& tx) {
                 return tree.adoptRangeTx(tx, kvl.data() + off, n);

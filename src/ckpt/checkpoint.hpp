@@ -25,12 +25,11 @@ struct CheckpointConfig {
   // by the newest manifest must not be deleted.
   std::string dir;
   SnapshotOptions snapshot{};
-  // Crash-injection hooks for the crash-and-restore CI tier: SIGKILL the
-  // process after N fresh segments hit the (flushed) temp file, or right
-  // before the rename that publishes it. Both must leave the directory
-  // restorable from the previous complete checkpoint.
+  // Crash-injection hook for the crash-and-restore CI tier: SIGKILL the
+  // process after N fresh segments hit the (flushed) temp file. The
+  // unpublished temp file must leave the directory restorable from the
+  // previous complete checkpoint.
   int killAfterSegments = -1;
-  bool killBeforeRename = false;
 };
 
 struct CheckpointResult {
@@ -87,8 +86,7 @@ struct RestoreOptions {
   // name, stm config are honored; shards / routingSlots /
   // initialSlotAssignment are overwritten from the manifest.
   shard::ShardedMapConfig mapConfig{};
-  int parallelism = 0;        // shard-loader threads; 0 = hardware
-  std::size_t batchKeys = 512;  // keys per adopt transaction
+  int parallelism = 0;  // shard-loader threads; 0 = hardware
 };
 
 struct RestoreReport {

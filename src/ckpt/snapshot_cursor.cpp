@@ -14,6 +14,10 @@ using KV = trees::SFTree::ExtractedKV;
 // Body attempts a streaming chunk gets before giving up (see walkOne).
 constexpr int kMaxChunkAttempts = 64;
 
+// Keys per streaming chunk transaction. Bounds the read-set each chunk
+// validates, which bounds the window writers can invalidate.
+constexpr std::size_t kChunkKeys = 512;
+
 // RAII operation fence around the forced-cut transaction.
 struct OpFence {
   explicit OpFence(shard::ShardedMap& m) : map(m) { map.fencedOpsBegin(); }
@@ -26,7 +30,6 @@ struct OpFence {
 
 SnapshotCursor::SnapshotCursor(shard::ShardedMap& map, SnapshotOptions opt)
     : map_(map), opt_(opt) {
-  if (opt_.chunkKeys < 1) opt_.chunkKeys = 1;
   if (opt_.optimisticRounds < 0) opt_.optimisticRounds = 0;
   if (opt_.forcedRounds < 1) opt_.forcedRounds = 1;
 }
@@ -94,8 +97,8 @@ void SnapshotCursor::walkOne(std::vector<char>& remaining,
                         return;
                       }
                       gaveUp = false;
-                      map_.snapshotChunkTx(tx, anchor, lo, opt_.chunkKeys,
-                                           pred, chunk, info);
+                      map_.snapshotChunkTx(tx, anchor, lo, kChunkKeys, pred,
+                                           chunk, info);
                     });
     if (gaveUp || info.migrating) {
       abandon(treeId == nullptr);

@@ -44,9 +44,6 @@
 namespace sftree::ckpt {
 
 struct SnapshotOptions {
-  // Keys per streaming chunk transaction. Bounds the read-set each chunk
-  // validates, which bounds the window writers can invalidate.
-  std::size_t chunkKeys = 512;
   // Tick-certified rounds before falling back to a forced cut. 0 skips the
   // optimistic phase entirely (always force — deterministic cut-point
   // testing).

@@ -49,11 +49,9 @@ void emitViolationQueueStats(MetricSink& out, const std::string& prefix,
                              const trees::ViolationQueueStats& s) {
   out.counter(join(prefix, "captured"), s.captured);
   out.counter(join(prefix, "enqueued"), s.enqueued);
-  out.counter(join(prefix, "deduped"), s.deduped);
   out.counter(join(prefix, "drained"), s.drained);
   out.counter(join(prefix, "dropped"), s.dropped);
   out.counter(join(prefix, "overflows"), s.overflows);
-  out.counter(join(prefix, "absorbed_ticks"), s.absorbedTicks);
   out.gauge(join(prefix, "depth"), static_cast<double>(s.depth()));
   out.gauge(join(prefix, "mean_drain_latency_us"), s.meanDrainLatencyUs());
 }
@@ -69,6 +67,7 @@ void emitMaintenanceStats(MetricSink& out, const std::string& prefix,
   out.counter(join(prefix, "nodes_retired"), s.nodesRetired);
   out.counter(join(prefix, "nodes_visited"), s.nodesVisited);
   out.counter(join(prefix, "shared_prefix_skips"), s.sharedPrefixSkips);
+  out.counter(join(prefix, "entries_merged"), s.entriesMerged);
   out.counter(join(prefix, "sweeps_deferred"), s.sweepsDeferred);
   out.counter(join(prefix, "access_entries_drained"), s.accessEntriesDrained);
   out.counter(join(prefix, "access_ticks_consumed"), s.accessTicksConsumed);

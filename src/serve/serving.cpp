@@ -1,6 +1,7 @@
 #include "serve/serving.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "obs/clock.hpp"
@@ -25,7 +26,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
 ServingTier::ServingTier(shard::ShardedMap& map, ServingTierConfig cfg)
     : map_(map), cfg_(cfg) {
   if (cfg_.batchSize < 1) cfg_.batchSize = 1;
-  if (cfg_.batchRetryLimit < 1) cfg_.batchRetryLimit = 1;
   int n = cfg_.executors > 0 ? cfg_.executors : map_.shardCount();
   if (n < 1) n = 1;
   execs_.reserve(static_cast<std::size_t>(n));
@@ -45,13 +45,14 @@ std::size_t ServingTier::queueFor(Key k) const {
                                   static_cast<std::uint64_t>(execs_.size()));
 }
 
-detail::PendingOp* ServingTier::enqueue(const Request& r,
-                                        std::function<void(const Result&)> cb,
-                                        bool withFuture) {
+bool ServingTier::enqueue(const Request& r,
+                          std::function<void(const Result&)> cb,
+                          detail::PendingOp** future) {
   auto* op = new detail::PendingOp;
   op->req = r;
   op->callback = std::move(cb);
-  op->refs.store(withFuture ? 2 : 1, std::memory_order_relaxed);
+  op->refs.store(future != nullptr ? 2 : 1, std::memory_order_relaxed);
+  if (future != nullptr) *future = op;
   op->enqueueTick = obs::tick();
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
@@ -70,7 +71,7 @@ detail::PendingOp* ServingTier::enqueue(const Request& r,
     op->res.rejected = true;
     op->res.latencyNs = obs::ticksToNs(obs::tick() - op->enqueueTick);
     op->complete();
-    return withFuture ? op : nullptr;
+    return false;
   }
 
   ex.depth.fetch_add(1, std::memory_order_relaxed);
@@ -91,19 +92,18 @@ detail::PendingOp* ServingTier::enqueue(const Request& r,
     std::lock_guard<std::mutex> lk(ex.mu);
     ex.cv.notify_one();
   }
-  return withFuture ? op : nullptr;
+  return true;
 }
 
 Future ServingTier::submit(const Request& r) {
-  return Future(enqueue(r, nullptr, /*withFuture=*/true));
+  detail::PendingOp* op = nullptr;
+  enqueue(r, nullptr, &op);
+  return Future(op);
 }
 
 bool ServingTier::submit(const Request& r,
                          std::function<void(const Result&)> cb) {
-  const std::uint64_t rejectedBefore =
-      rejected_.load(std::memory_order_relaxed);
-  enqueue(r, std::move(cb), /*withFuture=*/false);
-  return rejected_.load(std::memory_order_relaxed) == rejectedBefore;
+  return enqueue(r, std::move(cb), nullptr);
 }
 
 void ServingTier::stop() {
@@ -154,11 +154,13 @@ void ServingTier::executorLoop(Executor& ex) {
           if (ex.head.load(std::memory_order_acquire) == nullptr) break;
           continue;
         }
+        // Idle nap; a submitter that sees `sleeping` cuts it short.
+        constexpr std::chrono::microseconds kIdleWait{500};
         std::unique_lock<std::mutex> lk(ex.mu);
         ex.sleeping.store(true, std::memory_order_release);
         if (ex.head.load(std::memory_order_acquire) == nullptr &&
             !stop_.load(std::memory_order_acquire)) {
-          ex.cv.wait_for(lk, cfg_.idleWait);
+          ex.cv.wait_for(lk, kIdleWait);
         }
         ex.sleeping.store(false, std::memory_order_release);
         continue;
@@ -249,12 +251,13 @@ void ServingTier::executeBatch(Executor& ex, detail::PendingOp* const* ops,
   std::size_t committed = n;
   const std::uint64_t t0 = obs::tick();
   st.beginOp();
+  // Conflict fallback: past kBatchRetryLimit attempts, commit only the
+  // first request — a batch-sized conflict window collapses to a per-op
+  // one, so a single hot key cannot convict the whole batch again.
+  constexpr std::size_t kBatchRetryLimit = 2;
   stm::atomically(dom, kind, [&](stm::Tx& tx) {
-    // Conflict fallback: past the retry limit, commit only the first
-    // request — a batch-sized conflict window collapses to a per-op one,
-    // so a single hot key cannot convict the whole batch again.
     ++attempts;
-    committed = attempts > cfg_.batchRetryLimit ? 1 : n;
+    committed = attempts > kBatchRetryLimit ? 1 : n;
     for (std::size_t i = 0; i < committed; ++i) execOneTx(tx, *ops[i]);
   });
   st.endOp();

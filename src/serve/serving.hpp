@@ -19,9 +19,9 @@
 // (docs/sharding.md, "Adaptive migration batches"): a batch transaction
 // that aborted at least once halves the next batch (AIMD, floor 1 — which
 // IS one-transaction-per-op), two consecutive clean batches double it back
-// toward the configured ceiling; and a batch that keeps aborting past
-// batchRetryLimit attempts degrades to committing only its first request,
-// so one conflicting key cannot convict the same batch repeatedly.
+// toward the configured ceiling; and a batch that keeps aborting past a
+// small retry limit degrades to committing only its first request, so one
+// conflicting key cannot convict the same batch repeatedly.
 //
 // Completion is a Future<Result> / callback API. Enqueue-to-completion
 // latency rides the sampled TSC clock (obs::tick) into per-executor
@@ -173,14 +173,9 @@ struct ServingTierConfig {
   // batch that aborted (floor 1 = per-op transactions), double back after
   // two clean batches.
   bool adaptiveBatch = true;
-  // Attempts before a conflicting batch degrades to committing only its
-  // first request (the rest run one transaction each).
-  std::size_t batchRetryLimit = 2;
   // Admission bound per submission queue; submissions beyond it complete
   // immediately with rejected = true. 0 = unbounded.
   std::size_t queueCapacity = 1 << 16;
-  // Executor idle nap while its queue is empty.
-  std::chrono::microseconds idleWait{500};
 };
 
 // Aggregated counters + latency histograms (merged over executors; racy
@@ -217,7 +212,8 @@ class ServingTier {
   Future submit(const Request& r);
   // Submit with a completion callback (invoked once, on the executor thread
   // — or inline on this thread when the request is rejected). Returns false
-  // when the request was rejected.
+  // when admission control rejected the request; an accepted request that
+  // stop() finds still queued completes with rejected = true.
   bool submit(const Request& r, std::function<void(const Result&)> cb);
 
   // Stops accepting, drains every queue (each accepted request completes),
@@ -266,9 +262,11 @@ class ServingTier {
   };
 
   std::size_t queueFor(Key k) const;
-  detail::PendingOp* enqueue(const Request& r,
-                             std::function<void(const Result&)> cb,
-                             bool withFuture);
+  // Admits the request or completes it inline as rejected; returns the
+  // admission decision. With `future` non-null the op also gets a future
+  // reference, handed out through it.
+  bool enqueue(const Request& r, std::function<void(const Result&)> cb,
+               detail::PendingOp** future);
   void executorLoop(Executor& ex);
   void executeBatch(Executor& ex, detail::PendingOp* const* ops,
                     std::size_t n);

@@ -67,6 +67,14 @@ bool ReshardController::sampleAndAct() {
   // signal: concentrated traffic out-scores the same volume spread evenly.
   // New shards (no previous reading) contribute their backlog only for one
   // interval.
+  //
+  // Backlog weighs this many update ticks per queued entry: it signals
+  // maintenance falling behind, which is worth reacting to faster than raw
+  // traffic.
+  constexpr std::uint64_t kQueueDepthWeight = 4;
+  // Per-interval decay d of a slot's heat: a slot sustaining delta t per
+  // interval converges to t / (1 - d).
+  constexpr double kHeatDecay = 0.5;
   std::vector<Score> scores;
   scores.reserve(samples.size());
   double total = 0;
@@ -86,7 +94,7 @@ bool ReshardController::sampleAndAct() {
                                         ? slotTicks[s] - prevSlotTicks_[s]
                                         : 0;
         slotHeat_[s] =
-            cfg_.heatDecay * slotHeat_[s] + static_cast<double>(delta);
+            kHeatDecay * slotHeat_[s] + static_cast<double>(delta);
         const int owner =
             s < slotOwnersNow.size() ? slotOwnersNow[s] : -1;
         if (owner >= 0 && owner < n) {
@@ -110,7 +118,7 @@ bool ReshardController::sampleAndAct() {
               : 0.0;
       const double load =
           static_cast<double>(delta) +
-          static_cast<double>(cfg_.queueDepthWeight * s.queueDepth) +
+          static_cast<double>(kQueueDepthWeight * s.queueDepth) +
           cfg_.heatWeight * hotHeat;
       scores.push_back(Score{s.index, load, delta, s.queueDepth, hotHeat});
       total += load;

@@ -48,20 +48,14 @@ struct ReshardControllerConfig {
   // thresholds on a near-idle interval are noise, and resharding an idle
   // map buys nothing.
   std::uint64_t minOpsPerSample = 1024;
-  // Violation-queue backlog is weighted this many update ticks per entry
-  // (backlog signals maintenance falling behind, which is worth reacting
-  // to faster than raw traffic).
-  std::uint64_t queueDepthWeight = 4;
   // Heat-weighted splitting: fold the shard's hottest routing slot's
   // decayed traffic into its load score, scaled by this factor. A shard
   // whose traffic concentrates on one slot (skew — the population the
   // splay heuristic serves) then out-scores a shard carrying the same
   // traffic spread evenly, and splits first. The decayed accumulator makes
-  // *persistent* skew count more than one bursty interval: with decay d, a
-  // slot sustaining delta t per interval converges to t / (1 - d). 0
-  // disables the term (the pre-heat policy).
+  // *persistent* skew count more than one bursty interval (see
+  // sampleAndAct). 0 disables the term (the pre-heat policy).
   double heatWeight = 1.0;
-  double heatDecay = 0.5;
   // Background sampling period (start()/stop()).
   std::chrono::milliseconds samplePeriod{100};
 };

@@ -903,6 +903,7 @@ ShardedMapStats ShardedMap::aggregatedStats() const {
     out.maintenance.nodesRetired += m.nodesRetired;
     out.maintenance.nodesVisited += m.nodesVisited;
     out.maintenance.sharedPrefixSkips += m.sharedPrefixSkips;
+    out.maintenance.entriesMerged += m.entriesMerged;
     out.maintenance.sweepsDeferred += m.sweepsDeferred;
     out.maintenance.accessEntriesDrained += m.accessEntriesDrained;
     out.maintenance.accessTicksConsumed += m.accessTicksConsumed;
@@ -914,11 +915,9 @@ ShardedMapStats ShardedMap::aggregatedStats() const {
     out.maintenance.passNs += m.passNs;
     out.maintenance.queue.captured += m.queue.captured;
     out.maintenance.queue.enqueued += m.queue.enqueued;
-    out.maintenance.queue.deduped += m.queue.deduped;
     out.maintenance.queue.drained += m.queue.drained;
     out.maintenance.queue.dropped += m.queue.dropped;
     out.maintenance.queue.overflows += m.queue.overflows;
-    out.maintenance.queue.absorbedTicks += m.queue.absorbedTicks;
     out.maintenance.queue.drainLatencyUsSum += m.queue.drainLatencyUsSum;
   }
   out.slotOpTicks.reserve(static_cast<std::size_t>(cfg_.routingSlots));

@@ -43,9 +43,6 @@ enum class TxKind : std::uint8_t { Normal, Elastic, ReadOnly };
 struct Config {
   LockMode lockMode = LockMode::Lazy;
   TmBackend backend = TmBackend::Orec;
-  // Elastic window: number of most recent reads that must stay valid.
-  // The E-STM paper uses pairs of hand-over-hand reads.
-  std::uint32_t elasticWindow = 2;
   // NOrec read-only batching: a zero-write-set ReadOnly transaction on the
   // NOrec backend checks the sequence locks once every this many *scalar*
   // (non-pointer) reads — plus at commit and at every domain join —
@@ -59,9 +56,6 @@ struct Config {
   // routes field types accordingly). 1 restores per-read validation
   // everywhere.
   std::uint32_t norecRoBatch = 32;
-  // Contention management: bounded randomized exponential backoff.
-  std::uint32_t backoffMinSpins = 32;
-  std::uint32_t backoffMaxSpins = 1 << 14;
   // log2 of the domain's orec table size (2^20 orecs * 8 B = 8 MiB, the
   // TinySTM-scale default). A process running many domains should shrink
   // each domain's table: a domain that guards 1/N of the address traffic

@@ -88,10 +88,12 @@ void backoff(Tx& tx) {
   // Deliberate restarts (RO snapshot refresh, RO->RW promotion) are not
   // conflicts; waiting would only delay the fresh snapshot.
   if (tx.consumeBackoffWaiver()) return;
-  const Config& cfg = tx.rootDomain().config();
+  // Bounded randomized exponential backoff, in pause-instruction spins.
+  constexpr std::uint64_t kBackoffMinSpins = 32;
+  constexpr std::uint64_t kBackoffMaxSpins = 1 << 14;
   const std::uint32_t shift = std::min<std::uint32_t>(tx.attempts(), 16);
-  std::uint64_t ceiling = std::uint64_t{cfg.backoffMinSpins} << shift;
-  ceiling = std::min<std::uint64_t>(ceiling, cfg.backoffMaxSpins);
+  const std::uint64_t ceiling =
+      std::min(kBackoffMinSpins << shift, kBackoffMaxSpins);
   thread_local std::uint64_t seed =
       0x9E3779B97F4A7C15ULL ^ reinterpret_cast<std::uintptr_t>(&tx);
   const std::uint64_t spins = nextRandom(seed) % (ceiling + 1);

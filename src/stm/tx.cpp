@@ -45,6 +45,10 @@ inline void cpuRelax() {
 // younger wait aborts (randomized backoff then breaks the symmetry).
 constexpr std::uint64_t kNorecHeldSpinLimit = 1 << 12;
 
+// Elastic window: number of most recent reads that must stay valid. The
+// E-STM paper uses pairs of hand-over-hand reads.
+constexpr std::size_t kElasticWindow = 2;
+
 }  // namespace
 
 Tx::Tx() {
@@ -105,7 +109,7 @@ void Tx::begin(Domain& d, TxKind kind, ThreadStats& stats) {
   writeSigs_ = 0;
   idxMask_ = 0;
   window_.clear();
-  if (elasticPhase_) window_.reserve(cfg_.elasticWindow);
+  if (elasticPhase_) window_.reserve(kElasticWindow);
   windowNext_ = 0;
   abortCause_ = obs::AbortCause::kUserRestart;
   // Sampled: one attempt in (mask+1) pays the timestamp reads; the
@@ -429,7 +433,7 @@ Word Tx::read(const Word* addr) {
 
   if (elasticPhase_) {
     // Hand-over-hand: the new read must be consistent with the (at most
-    // `elasticWindow`) most recent reads; anything older was cut.
+    // kElasticWindow) most recent reads; anything older was cut.
     SampledWord s = sampleCommitted(addr, orec, /*spinOnLock=*/false);
     elasticValidateWindow();
     elasticRecord(orec, s.version);
@@ -587,15 +591,14 @@ void Tx::extendSnapshot(std::size_t viewIdx) {
 }
 
 void Tx::elasticRecord(std::atomic<OrecWord>* orec, std::uint64_t version) {
-  const std::size_t cap = cfg_.elasticWindow;
-  if (window_.size() < cap) {
+  if (window_.size() < kElasticWindow) {
     window_.push_back(ReadEntry{orec, version});
     return;
   }
   // Overwrite the oldest entry: this is the "cut" — the evicted read is no
   // longer part of the transaction's consistency obligation.
   window_[windowNext_] = ReadEntry{orec, version};
-  windowNext_ = (windowNext_ + 1) % cap;
+  windowNext_ = (windowNext_ + 1) % kElasticWindow;
   stats_->onElasticCut();
 }
 

@@ -413,7 +413,7 @@ class alignas(64) Tx {
   std::vector<std::uint32_t> orecIdx_;   // keyed by locked orec
   std::size_t idxMask_ = 0;
 
-  // Elastic sliding window (size config.elasticWindow, kept tiny).
+  // Elastic sliding window (kElasticWindow entries, kept tiny).
   std::vector<ReadEntry> window_;
   std::size_t windowNext_ = 0;
 

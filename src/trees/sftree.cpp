@@ -802,12 +802,11 @@ bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
   bool sweepDeferrable = false;
   if (!fullSweep) {
     // Periodic fallback sweep: the safety net for anything the queue could
-    // not carry — drain/update races absorbed by the dedup handshake,
-    // dropped captures on overflow, estimate drift. The *periodic* sweep
-    // is deferrable: a drain that carried only kAccess splay traffic left
-    // no structural debt for the sweep to find (maintainOnce decides). An
-    // overflow sweep is not — dropped captures are exactly the missed work
-    // only a sweep recovers.
+    // not carry — dropped captures on overflow, estimate drift. The
+    // *periodic* sweep is deferrable: a drain that carried only kAccess
+    // splay traffic left no structural debt for the sweep to find
+    // (maintainOnce decides). An overflow sweep is not — dropped captures
+    // are exactly the missed work only a sweep recovers.
     ++passesSinceSweep_;
     if (cfg_.fullSweepPeriod > 0 && passesSinceSweep_ >= cfg_.fullSweepPeriod) {
       fullSweep = true;
@@ -889,6 +888,8 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     passVisited_ = 0;
     maintStats_.sharedPrefixSkips += passPrefixSkips_;
     passPrefixSkips_ = 0;
+    maintStats_.entriesMerged += passMerged_;
+    passMerged_ = 0;
   }
   return didWork;
 }
@@ -901,23 +902,37 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
 // only link fresh leaves (published with release stores) and flip flags.
 // --------------------------------------------------------------------------
 bool SFTree::collectViolations(const std::atomic<bool>* cancel) {
-  // Sort by key: key-sorted neighbors share the longest possible root-path
-  // prefixes, so each repair can resume the previous entry's recorded walk
-  // instead of re-descending from the root (sharedPrefixSkips counts the
-  // avoided steps). The dedup claims are released by the drain, so a
-  // concurrent update to a collected key re-enqueues normally and is simply
-  // repaired again next pass.
+  // Sort by (key, kind): key-sorted neighbors share the longest possible
+  // root-path prefixes, so each repair can resume the previous entry's
+  // recorded walk instead of re-descending from the root (sharedPrefixSkips
+  // counts the avoided steps), and duplicates sit next to each other. Each
+  // (key, kind) is then merged into one entry weighing all of its captures:
+  // one repair per pass, and an access entry carries every sampled hit. An
+  // update that commits after the drain pushes a fresh entry, repaired next
+  // pass.
   drainBuf_.clear();
   bool sawStructural = false;
-  violations_.drain([&](Key k, ViolationKind kind, std::uint32_t weight) {
-    drainBuf_.push_back(DrainEntry{k, weight, kind});
+  violations_.drain([&](Key k, ViolationKind kind) {
+    drainBuf_.push_back(DrainEntry{k, 1, kind});
     sawStructural |= kind != ViolationKind::kAccess;
     return !isCancelled(cancel);
   });
   std::sort(drainBuf_.begin(), drainBuf_.end(),
             [](const DrainEntry& a, const DrainEntry& b) {
-              return a.key < b.key;
+              return a.key != b.key ? a.key < b.key : a.kind < b.kind;
             });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < drainBuf_.size(); ++i) {
+    const DrainEntry& e = drainBuf_[i];
+    if (kept > 0 && drainBuf_[kept - 1].key == e.key &&
+        drainBuf_[kept - 1].kind == e.kind) {
+      drainBuf_[kept - 1].weight += e.weight;
+    } else {
+      drainBuf_[kept++] = e;
+    }
+  }
+  passMerged_ += drainBuf_.size() - kept;
+  drainBuf_.resize(kept);
   return sawStructural;
 }
 
@@ -931,9 +946,9 @@ bool SFTree::repairViolations(const std::atomic<bool>* cancel,
     cancelled = cancelled || isCancelled(cancel);
     if (cancelled) {
       // Cancelled mid-batch: hand the unrepaired tail back to the queue so
-      // the next pass (or quiesceNow) repairs it. An access entry's
-      // absorbed-tick weight is dropped by the round-trip — heat is a lossy
-      // estimate by contract.
+      // the next pass (or quiesceNow) repairs it. A merged access entry's
+      // weight is dropped by the round-trip — heat is a lossy estimate by
+      // contract.
       violations_.publish(e.key, e.kind);
       continue;
     }

@@ -159,7 +159,7 @@ struct SFTreeConfig {
   bool targetedMaintenance = true;
   // With targeted maintenance, every Nth pass additionally runs a full
   // depth-first sweep as a safety net for missed or stale queue entries
-  // (drain races, dropped captures, estimate drift). A pass that sweeps
+  // (dropped captures, estimate drift). A pass that sweeps
   // repairs only the kAccess entries it collected: the sweep covers the
   // structural ones. 0 disables the periodic fallback entirely (an
   // overflowing queue still forces one); quiesceNow() sweeps on every pass
@@ -211,6 +211,9 @@ struct MaintenanceStats {
   // (key-sorted) entries shared a recorded prefix — visits that would have
   // counted into nodesVisited otherwise.
   std::uint64_t sharedPrefixSkips = 0;
+  // Drained queue entries merged into an equal (key, kind) neighbour of the
+  // same batch: captures that cost no repair of their own.
+  std::uint64_t entriesMerged = 0;
   // Periodic fallback sweeps deferred because the drain carried no
   // structural violations (pure kAccess splay traffic); capped at 4x
   // fullSweepPeriod, after which the sweep runs regardless.
@@ -463,9 +466,10 @@ class SFTree {
   void maintainSubtree(SFNode* parent, SFNode* node, bool leftChild,
                        bool& didWork, int depth,
                        const std::atomic<bool>* cancel);
-  // Targeted path, first half: drains the violation queue into drainBuf_
-  // and sorts the entries by key (consecutive entries then share maximal
-  // root-path prefixes, which processViolation reuses). Returns true when
+  // Targeted path, first half: drains the violation queue into drainBuf_,
+  // sorts the entries by (key, kind) (consecutive entries then share
+  // maximal root-path prefixes, which processViolation reuses) and merges
+  // equal neighbours into one entry weighing the sum. Returns true when
   // any collected entry is a structural kind (kInsert/kErase), the signal
   // the sweep-deferral backoff keys on.
   bool collectViolations(const std::atomic<bool>* cancel);
@@ -575,8 +579,10 @@ class SFTree {
   };
   std::vector<PathStep> pathBuf_;
   // Drain batch scratch (consumer-only): entries collected per pass, sorted
-  // by key for the shared-prefix walk reuse. passPrefixSkips_ accumulates
-  // the avoided steps and folds into maintStats_ like passVisited_.
+  // by (key, kind) for the shared-prefix walk reuse, one per (key, kind)
+  // with `weight` captures merged into it. passPrefixSkips_ and passMerged_
+  // accumulate the avoided steps and the merged entries and fold into
+  // maintStats_ like passVisited_.
   struct DrainEntry {
     Key key;
     std::uint32_t weight;
@@ -584,6 +590,7 @@ class SFTree {
   };
   std::vector<DrainEntry> drainBuf_;
   std::uint64_t passPrefixSkips_ = 0;
+  std::uint64_t passMerged_ = 0;
 
   // Bumped by every update: a cache line apart from the maintenance
   // worker's scratch above, which it writes on every drained entry.

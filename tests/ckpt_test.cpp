@@ -2,8 +2,8 @@
 // live map — under concurrent writers, under live splitShard/mergeShards
 // cycles, and under serving-tier batch traffic — incremental checkpoints
 // must reuse clean segments exactly, and torn or corrupt files must fall
-// back to the last complete checkpoint. The concurrent tests are in the
-// ThreadSanitizer CI job's regex.
+// back to the last complete checkpoint. The ThreadSanitizer CI job runs
+// the concurrent tests like every suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>

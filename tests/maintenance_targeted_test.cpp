@@ -1,7 +1,7 @@
 // Targeted (violation-queue-fed) maintenance: convergence without full
 // sweeps, how a sweeping pass covers the collected entries, commit-time
-// capture/dedup semantics, and the enqueue-at-commit vs drain/rotation race
-// under real concurrency (run under TSan in CI).
+// capture and the drain's per-(key, kind) merge, and the enqueue-at-commit
+// vs drain/rotation race under real concurrency (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -237,10 +237,10 @@ TEST(MaintenanceTargetedTest, CancelledSweepingPassHandsEveryEntryBack) {
   EXPECT_EQ(tree.structuralSize(), expected.size());
 }
 
-// Commit-time capture must be transactional: aborted updates publish
-// nothing, repeated updates on one key dedup down to the entries the drain
-// actually needs.
-TEST(MaintenanceTargetedTest, CaptureIsCommittedAndDeduped) {
+// Commit-time capture must be transactional: aborted and failed updates
+// publish nothing. Every capture is enqueued, and the drain merges repeated
+// updates on one key down to one repair per (key, kind).
+TEST(MaintenanceTargetedTest, CaptureIsCommittedAndMerged) {
   trees::SFTree tree(targetedOnly());
   tree.insert(1, 1);
   const auto afterInsert = tree.maintenanceStats().queue;
@@ -248,29 +248,41 @@ TEST(MaintenanceTargetedTest, CaptureIsCommittedAndDeduped) {
   EXPECT_EQ(afterInsert.enqueued, 1u);
 
   // Failed operations commit no update and must not capture: erase of a
-  // missing key, duplicate insert.
+  // missing key, duplicate insert. Nor may an aborted attempt's erase.
   tree.erase(99);
   tree.insert(1, 1);
+  int attempts = 0;
+  sftree::stm::atomically(tree.domain(), tree.updateTxKind(),
+                          [&](sftree::stm::Tx& tx) {
+                            if (++attempts == 1) {
+                              EXPECT_TRUE(tree.eraseTx(tx, 1));
+                              tx.restart();
+                            }
+                          });
+  EXPECT_EQ(attempts, 2);
   EXPECT_EQ(tree.maintenanceStats().queue.captured, 1u);
 
   // Churn one key without draining: every erase is a capture (revives are
-  // abstraction-only and publish nothing). The dedup claim spaces are per
-  // kind — an erase must never be absorbed into a pending *insert* entry,
-  // whose repair skips the removal probe — so the first erase enqueues a
-  // second entry and the remaining 99 dedup against the kErase claim.
+  // abstraction-only and publish nothing), and every capture is enqueued.
   for (int i = 0; i < 100; ++i) {
     tree.erase(1);
     tree.insert(1, 1);
   }
-  const auto q = tree.maintenanceStats().queue;
-  EXPECT_EQ(q.captured, 101u);
-  EXPECT_EQ(q.enqueued, 2u);
-  EXPECT_EQ(q.deduped, 99u);
-  EXPECT_EQ(q.enqueued + q.deduped + q.dropped, q.captured);
-  EXPECT_LE(tree.violationQueueDepth(), 2u);
+  const auto before = tree.maintenanceStats();
+  EXPECT_EQ(before.queue.captured, 101u);
+  EXPECT_EQ(before.queue.enqueued, 101u);
+  EXPECT_EQ(before.queue.dropped, 0u);
+  EXPECT_EQ(tree.violationQueueDepth(), 101u);
 
-  drainToFixpoint(tree);
+  // One pass drains all 101 and repairs 2: the 100 erases merge into one
+  // entry, and the insert stays apart — an erase folded into an insert
+  // entry would skip the removal probe.
+  tree.runMaintenancePass();
+  const auto after = tree.maintenanceStats();
+  EXPECT_EQ(after.queue.drained - before.queue.drained, 101u);
+  EXPECT_EQ(after.entriesMerged - before.entriesMerged, 99u);
   EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  EXPECT_EQ(tree.keysInOrder(), std::vector<Key>{1});
 }
 
 // The queue survives keys whose nodes disappear before the drain gets to
@@ -350,7 +362,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The violation queue itself: producer/consumer counters stay consistent
-// under concurrent publishes.
+// under concurrent publishes, and every capture is enqueued.
 TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
   trees::ViolationQueue q;
   constexpr int kThreads = 4;
@@ -361,67 +373,56 @@ TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
     threads.emplace_back([&, t] {
       std::mt19937_64 rng(5 + t);
       for (int i = 0; i < kPerThread; ++i) {
-        q.publish(static_cast<Key>(rng() % 512));
+        q.publish(static_cast<Key>(rng() % 512),
+                  trees::ViolationKind::kInsert);
       }
     });
   }
   for (auto& th : threads) th.join();
 
   std::uint64_t consumed = 0;
-  consumed += q.drain(
-      [](Key, trees::ViolationKind, std::uint32_t) { return true; });
+  consumed += q.drain([](Key, trees::ViolationKind) { return true; });
   const auto st = q.stats();
   EXPECT_EQ(st.captured,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(st.enqueued + st.deduped + st.dropped, st.captured);
+  EXPECT_EQ(st.enqueued + st.dropped, st.captured);
+  EXPECT_EQ(st.enqueued, st.captured);
   EXPECT_EQ(st.drained, consumed);
   EXPECT_EQ(q.depth(), 0u);
 }
 
-// Per-kind claim spaces: an entry of one kind never absorbs a capture of
-// another (dedup may suppress duplicates, never lose a violation), and
-// deduped access captures are preserved as weight on the pending entry.
-TEST(MaintenanceTargetedTest, QueueKindsDedupIndependentlyAndWeighAccess) {
-  trees::ViolationQueue q;
-  EXPECT_TRUE(q.publish(7, trees::ViolationKind::kInsert));
-  // Same key, different kind: must enqueue, not dedup against the insert.
-  EXPECT_TRUE(q.publish(7, trees::ViolationKind::kErase));
-  // Same key and kind: dedups.
-  EXPECT_FALSE(q.publish(7, trees::ViolationKind::kInsert));
+// The drain merges per (key, kind): one key under two kinds is repaired
+// twice (an erase is never folded into an insert entry), and six sampled
+// hits on it drain as one access entry of weight 6.
+TEST(MaintenanceTargetedTest, KindsMergeApartAndAccessWeighsEveryHit) {
+  trees::SFTreeConfig cfg = targetedOnly();
+  cfg.splay = trees::SplayPolicy::Conservative;
+  trees::SplayParams p;
+  p.sampleShift = 0;  // every lookup hit publishes a tick
+  cfg.splayParamsOverride = p;
+  trees::SFTree tree(cfg);
 
-  // Access ticks: the first capture enqueues, the next five are absorbed
-  // into the pending entry's weight instead of vanishing.
-  EXPECT_TRUE(q.publish(7, trees::ViolationKind::kAccess));
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(q.publish(7, trees::ViolationKind::kAccess));
-  }
+  tree.insert(7, 7);  // kInsert
+  tree.erase(7);      // kErase
+  tree.insert(7, 7);  // revive: abstraction-only, publishes nothing
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(tree.contains(7));  // 6 kAccess
+  const auto before = tree.maintenanceStats();
+  ASSERT_EQ(before.queue.captured, 8u);
+  ASSERT_EQ(tree.violationQueueDepth(), 8u);
 
-  std::uint32_t accessWeight = 0;
-  std::uint64_t structuralWeight = 0;
-  std::size_t entries = 0;
-  q.drain([&](Key k, trees::ViolationKind kind, std::uint32_t weight) {
-    EXPECT_EQ(k, 7);
-    ++entries;
-    if (kind == trees::ViolationKind::kAccess) {
-      accessWeight += weight;
-    } else {
-      structuralWeight += weight;
-    }
-    return true;
-  });
-  EXPECT_EQ(entries, 3u);
-  EXPECT_EQ(accessWeight, 6u);      // 1 entry + 5 absorbed ticks
-  EXPECT_EQ(structuralWeight, 2u);  // structural kinds always weigh 1
+  tree.runMaintenancePass();
 
-  const auto st = q.stats();
-  EXPECT_EQ(st.captured, 9u);
-  EXPECT_EQ(st.enqueued, 3u);
-  EXPECT_EQ(st.deduped, 6u);
-  EXPECT_EQ(st.absorbedTicks, 5u);
-  EXPECT_EQ(q.depth(), 0u);
-
-  // With the claims released by the drain, fresh captures enqueue again.
-  EXPECT_TRUE(q.publish(7, trees::ViolationKind::kAccess));
+  const auto after = tree.maintenanceStats();
+  const std::uint64_t drained = after.queue.drained - before.queue.drained;
+  const std::uint64_t merged = after.entriesMerged - before.entriesMerged;
+  const std::uint64_t accessEntries =
+      after.accessEntriesDrained - before.accessEntriesDrained;
+  EXPECT_EQ(drained, 8u);
+  EXPECT_EQ(merged, 5u);
+  EXPECT_EQ(accessEntries, 1u);
+  EXPECT_EQ(drained - merged - accessEntries, 2u);  // kInsert + kErase
+  EXPECT_EQ(after.accessTicksConsumed - before.accessTicksConsumed, 6u);
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
 }
 
 }  // namespace

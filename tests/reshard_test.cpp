@@ -3,7 +3,7 @@
 // linearizable lookups while migration races concurrent insert/erase/move
 // (the token-count invariant), domain retirement in PerShard mode, and the
 // ReshardController policy (split on a hot shard, merge when cold). The
-// churn tests are in the ThreadSanitizer CI job's regex.
+// ThreadSanitizer CI job runs the churn tests like every suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -383,7 +383,10 @@ TEST(ReshardTest, ControllerSplitsHotShardAndMergesCold) {
 // but one concentrates it on a single key (one routing slot — the skew the
 // splay heuristic serves) while the other spreads it evenly. The raw tick
 // deltas tie, so the pre-heat policy (heatWeight = 0) must refuse to split;
-// the hottest-slot heat term breaks the tie toward the skew-hot shard.
+// the hottest-slot heat term breaks the tie toward the skew-hot shard. The
+// violation backlog is drained before every deciding sample: it counts each
+// pending capture, so whatever the shared worker has not drained yet would
+// add drain-timing noise of up to 4x the spread shard's traffic.
 TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
   shard::MaintenanceScheduler scheduler;
   shard::ShardedMapConfig cfg;
@@ -406,6 +409,7 @@ TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
         map.erase(k);
       }
     }
+    map.quiesce();
   };
 
   shard::ReshardControllerConfig rcfg;
@@ -424,11 +428,6 @@ TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
         << "equal volume without the heat term must not cross splitFactor";
     EXPECT_EQ(ctl.stats().splits, 0u);
   }
-
-  // Drain the violation backlog the first round left queued, so the second
-  // controller's baseline sample sees an idle interval (queue-depth weight
-  // alone must not trip the split).
-  map.quiesce();
 
   {
     rcfg.heatWeight = 1.0;

@@ -1,14 +1,16 @@
 // Batched serving tier: request coalescing over ShardedMap. Covers
 // batched-vs-sequential linearizability (one executor = submission order,
 // so every result must match a sequential model), completion guarantees
-// across shutdown (futures and callbacks, accepted or rejected), AIMD batch
-// shrink under forced write conflicts, and batches spanning a live
-// splitShard/mergeShards migration with key conservation. The shutdown and
-// resharding tests are in the ThreadSanitizer CI job's regex.
+// across shutdown (futures and callbacks, accepted or rejected), callback
+// submissions reporting their own admission, AIMD batch shrink under forced
+// write conflicts, and batches spanning a live splitShard/mergeShards
+// migration with key conservation. The ThreadSanitizer CI job runs the
+// shutdown and resharding tests like every suite.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <thread>
 #include <vector>
@@ -183,6 +185,71 @@ TEST(ServingTest, EveryRequestCompletesAcrossShutdown) {
   tier.reset();  // idempotent stop via destructor
 }
 
+// submit(r, cb) reports its own admission decision: while another thread's
+// submissions to a full queue are rejected nonstop, every submission to an
+// idle queue is accepted and returns true.
+TEST(ServingTest, CallbackSubmitReportsItsOwnAdmission) {
+  shard::MaintenanceScheduler scheduler;
+  shard::ShardedMapConfig cfg;
+  cfg.shards = 2;
+  cfg.scheduler = &scheduler;
+  shard::ShardedMap map(cfg);
+
+  serve::ServingTierConfig scfg;
+  scfg.executors = 2;
+  scfg.queueCapacity = 1;
+  serve::ServingTier tier(map, scfg);
+  const auto get = [](Key k) {
+    serve::Request r;
+    r.key = k;
+    return r;
+  };
+
+  // Hold key 0's executor inside a callback, then fill its queue.
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ASSERT_TRUE(tier.submit(get(0), [&](const serve::Result&) {
+    held.set_value();
+    released.wait();
+  }));
+  held.get_future().wait();
+  serve::Future filler = tier.submit(get(0));
+
+  // A key on the other executor: the held one rejects at once.
+  Key other = 1;
+  while (tier.submit(get(other)).get().rejected) ++other;
+
+  std::atomic<bool> stop{false};
+  std::thread rejected([&] {
+    while (!stop.load()) (void)tier.submit(get(0));
+  });
+  constexpr int kSubmits = 5'000;
+  std::atomic<int> completed{0};
+  std::atomic<int> completedRejected{0};
+  int reportedRejected = 0;
+  for (int i = 0; i < kSubmits; ++i) {
+    // Closed loop: the previous request has completed, so the queue is
+    // empty and admission cannot refuse this one.
+    const bool accepted =
+        tier.submit(get(other), [&](const serve::Result& res) {
+          if (res.rejected) completedRejected.fetch_add(1);
+          completed.fetch_add(1);
+        });
+    if (!accepted) ++reportedRejected;
+    while (completed.load() <= i) std::this_thread::yield();
+  }
+  stop.store(true);
+  rejected.join();
+  release.set_value();
+
+  EXPECT_EQ(reportedRejected, 0);
+  EXPECT_EQ(completedRejected.load(), 0);
+  EXPECT_FALSE(filler.get().rejected);
+  EXPECT_GT(tier.stats().rejected, 0u);
+  tier.stop();
+}
+
 // Forced write conflicts against the batch transactions: a hammer thread
 // mutates the same small key range the batches touch, so batch commits
 // abort and the AIMD controller must shrink the effective batch size (and
@@ -198,7 +265,6 @@ TEST(ServingTest, AimdShrinksBatchUnderConflicts) {
   scfg.executors = 1;
   scfg.batchSize = 32;
   scfg.adaptiveBatch = true;
-  scfg.batchRetryLimit = 2;
   serve::ServingTier tier(map, scfg);
 
   constexpr Key kRange = 64;
