@@ -62,16 +62,17 @@ bool ReshardController::sampleAndAct() {
   }
 
   // Interval load per shard: update-tick delta since the previous sample
-  // (traffic) plus the weighted violation-queue backlog, plus (heatWeight)
-  // the decayed traffic of the shard's hottest routing slot — the skew
-  // signal: concentrated traffic out-scores the same volume spread evenly.
-  // New shards (no previous reading) contribute their backlog only for one
-  // interval.
+  // (traffic) plus (heatWeight) the decayed traffic of the shard's hottest
+  // routing slot — the skew signal: concentrated traffic out-scores the
+  // same volume spread evenly. A shard seen for the first time (no previous
+  // reading) has no tick delta yet.
   //
-  // Backlog weighs this many update ticks per queued entry: it signals
-  // maintenance falling behind, which is worth reacting to faster than raw
-  // traffic.
-  constexpr std::uint64_t kQueueDepthWeight = 4;
+  // The violation-queue depth is not part of the load: the updates that
+  // fill the queue are already counted as ticks, and the queue holds every
+  // pending capture until the drain merges equal (key, kind) entries, so on
+  // repeated updates to a few keys its depth measures how far the
+  // maintenance worker lags behind them, not repair work. The maintenance
+  // scheduler is what reacts to it.
   // Per-interval decay d of a slot's heat: a slot sustaining delta t per
   // interval converges to t / (1 - d).
   constexpr double kHeatDecay = 0.5;
@@ -117,10 +118,8 @@ bool ReshardController::sampleAndAct() {
               ? hotHeatByShard[static_cast<std::size_t>(s.index)]
               : 0.0;
       const double load =
-          static_cast<double>(delta) +
-          static_cast<double>(kQueueDepthWeight * s.queueDepth) +
-          cfg_.heatWeight * hotHeat;
-      scores.push_back(Score{s.index, load, delta, s.queueDepth, hotHeat});
+          static_cast<double>(delta) + cfg_.heatWeight * hotHeat;
+      scores.push_back(Score{s.index, load, delta, hotHeat});
       total += load;
     }
     prevTicks_ = std::move(ticksNow);
@@ -140,7 +139,7 @@ bool ReshardController::sampleAndAct() {
                          : map_.routingSlots();
 
   // Every non-idle sample yields one decision record; the inputs (load,
-  // fair share, threshold, tick delta, backlog) are captured before the
+  // fair share, threshold, tick delta, heat) are captured before the
   // mechanism runs so a refused action still logs what was attempted.
   ReshardDecision d;
   d.ns = obs::nowNs();
@@ -153,7 +152,6 @@ bool ReshardController::sampleAndAct() {
     d.load = scores.front().load;
     d.threshold = cfg_.splitFactor * fairShare;
     d.tickDelta = scores.front().tickDelta;
-    d.queueDepth = scores.front().queueDepth;
     d.hotSlotHeat = scores.front().hotHeat;
     const int born = map_.splitShard(scores.front().index);
     d.other = born;
@@ -182,7 +180,6 @@ bool ReshardController::sampleAndAct() {
       d.load = coldest.load + secondColdest.load;
       d.threshold = cfg_.mergeFactor * fairShare;
       d.tickDelta = coldest.tickDelta;
-      d.queueDepth = coldest.queueDepth;
       d.acted = map_.mergeShards(coldest.index, secondColdest.index);
       recordDecision(d);
       if (d.acted) {
@@ -202,7 +199,6 @@ bool ReshardController::sampleAndAct() {
   d.load = scores.front().load;
   d.threshold = cfg_.splitFactor * fairShare;
   d.tickDelta = scores.front().tickDelta;
-  d.queueDepth = scores.front().queueDepth;
   d.hotSlotHeat = scores.front().hotHeat;
   recordDecision(d);
   return false;
@@ -254,8 +250,6 @@ obs::MetricsRegistry::Registration ReshardController::registerMetrics(
       out.gauge("last_decision.load", last.load);
       out.gauge("last_decision.fair_share", last.fairShare);
       out.gauge("last_decision.threshold", last.threshold);
-      out.gauge("last_decision.queue_depth",
-                static_cast<double>(last.queueDepth));
       out.gauge("last_decision.hot_slot_heat", last.hotSlotHeat);
     }
   });

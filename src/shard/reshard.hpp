@@ -2,10 +2,9 @@
 //
 // Ballard et al.'s contention-adapting trees split and merge on observed
 // contention; this controller lifts the same feedback loop to the shard
-// layer. It periodically samples the per-shard load gauges the maintenance
-// side already collects — the violation-queue depth (backlog) and the
-// monotonic update-tick counter (traffic), plus per-domain commit/abort
-// rates in PerShard mode — and, past configurable thresholds:
+// layer. It periodically samples the monotonic update-tick counters the
+// trees and the routing slots already keep — per shard (traffic) and per
+// slot (skew heat) — and, past configurable thresholds:
 //
 //   * splits the hottest shard when its share of the sampled load exceeds
 //     splitFactor times the fair share (and the shard count is below the
@@ -83,10 +82,9 @@ struct ReshardDecision {
   double load = 0.0;      // deciding load: hottest shard (split/none),
                           // coldest-pair sum (merge)
   double fairShare = 0.0; // total / shardCount this interval
-  double total = 0.0;     // summed interval load (tick deltas + backlog)
+  double total = 0.0;     // summed interval load (tick deltas + heat)
   double threshold = 0.0; // the factor * fairShare the load was compared to
   std::uint64_t tickDelta = 0;   // deciding shard's update-tick delta
-  std::uint64_t queueDepth = 0;  // deciding shard's backlog at sample time
   double hotSlotHeat = 0.0;      // deciding shard's hottest-slot decayed
                                  // heat (the heatWeight * this term of load)
 };
@@ -129,7 +127,6 @@ class ReshardController {
     int index;
     double load;
     std::uint64_t tickDelta;
-    std::uint64_t queueDepth;
     double hotHeat;
   };
 

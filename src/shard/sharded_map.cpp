@@ -206,7 +206,6 @@ std::vector<ShardLoadSample> ShardedMap::loadSamples() const {
     s.id = &tree;
     s.index = static_cast<int>(i);
     s.updateTicks = tree.updateTicks();
-    s.queueDepth = tree.violationQueueDepth();
     s.sizeEstimate = tree.sizeEstimate();
     out.push_back(s);
   }

@@ -163,7 +163,6 @@ struct ShardLoadSample {
   const void* id = nullptr;
   int index = 0;  // current index, valid until the next split/merge
   std::uint64_t updateTicks = 0;
-  std::uint64_t queueDepth = 0;
   std::int64_t sizeEstimate = 0;
 };
 

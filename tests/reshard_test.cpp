@@ -383,10 +383,7 @@ TEST(ReshardTest, ControllerSplitsHotShardAndMergesCold) {
 // but one concentrates it on a single key (one routing slot — the skew the
 // splay heuristic serves) while the other spreads it evenly. The raw tick
 // deltas tie, so the pre-heat policy (heatWeight = 0) must refuse to split;
-// the hottest-slot heat term breaks the tie toward the skew-hot shard. The
-// violation backlog is drained before every deciding sample: it counts each
-// pending capture, so whatever the shared worker has not drained yet would
-// add drain-timing noise of up to 4x the spread shard's traffic.
+// the hottest-slot heat term breaks the tie toward the skew-hot shard.
 TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
   shard::MaintenanceScheduler scheduler;
   shard::ShardedMapConfig cfg;
@@ -409,7 +406,6 @@ TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
         map.erase(k);
       }
     }
-    map.quiesce();
   };
 
   shard::ReshardControllerConfig rcfg;
@@ -428,6 +424,10 @@ TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
         << "equal volume without the heat term must not cross splitFactor";
     EXPECT_EQ(ctl.stats().splits, 0u);
   }
+
+  // Drain the violation backlog the first round left queued, so the second
+  // round starts from the same idle trees as the first.
+  map.quiesce();
 
   {
     rcfg.heatWeight = 1.0;
