@@ -75,10 +75,11 @@ bool ServingTier::enqueue(const Request& r,
   }
 
   ex.depth.fetch_add(1, std::memory_order_relaxed);
-  // Treiber push (the violation queue's producer idiom).
+  // Treiber push (the violation queue's producer idiom). seq_cst, like the
+  // `sleeping` load below: see the wake-up handshake in executorLoop.
   op->next = ex.head.load(std::memory_order_relaxed);
   while (!ex.head.compare_exchange_weak(op->next, op,
-                                        std::memory_order_release,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
   }
   // High-water mark (racy max; a gauge, not an invariant).
@@ -88,7 +89,7 @@ bool ServingTier::enqueue(const Request& r,
   while (d > prev && !ex.maxDepth.compare_exchange_weak(
                          prev, d, std::memory_order_relaxed)) {
   }
-  if (ex.sleeping.load(std::memory_order_acquire)) {
+  if (ex.sleeping.load(std::memory_order_seq_cst)) {
     std::lock_guard<std::mutex> lk(ex.mu);
     ex.cv.notify_one();
   }
@@ -154,11 +155,19 @@ void ServingTier::executorLoop(Executor& ex) {
           if (ex.head.load(std::memory_order_acquire) == nullptr) break;
           continue;
         }
-        // Idle nap; a submitter that sees `sleeping` cuts it short.
+        // Idle nap; a submitter that sees `sleeping` cuts it short. This
+        // store-then-load of (sleeping, head) mirrors the submitter's
+        // push-then-load of (head, sleeping): store buffering. With
+        // release/acquire each side may miss the other's store, and a
+        // request pushed in that window waits out the whole nap. seq_cst
+        // on all four accesses puts them in one total order, so at least
+        // one side sees the other: we find the request, or the submitter
+        // sees `sleeping` and notifies under `mu`, which we hold until the
+        // wait releases it.
         constexpr std::chrono::microseconds kIdleWait{500};
         std::unique_lock<std::mutex> lk(ex.mu);
-        ex.sleeping.store(true, std::memory_order_release);
-        if (ex.head.load(std::memory_order_acquire) == nullptr &&
+        ex.sleeping.store(true, std::memory_order_seq_cst);
+        if (ex.head.load(std::memory_order_seq_cst) == nullptr &&
             !stop_.load(std::memory_order_acquire)) {
           ex.cv.wait_for(lk, kIdleWait);
         }

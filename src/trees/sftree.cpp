@@ -26,6 +26,10 @@ bool isCancelled(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
+// A subtree's height estimate: its root's local-h, 0 when empty. The
+// paper's left-h / right-h of a node are heightOf its two children.
+int heightOf(const SFNode* n) { return n != nullptr ? n->localH : 0; }
+
 }  // namespace
 
 SFTree::SFTree(SFTreeConfig cfg)
@@ -526,10 +530,8 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
     l->right.write(tx, n);
     // update-balance-values(): advisory, maintenance-private (a stale value
     // left by an aborted attempt is refreshed by the next traversal).
-    n->leftH = l->rightH;
-    n->localH = std::max(n->leftH, n->rightH) + 1;
-    l->rightH = n->localH;
-    l->localH = std::max(l->leftH, l->rightH) + 1;
+    n->localH = std::max(heightOf(lr), heightOf(r)) + 1;
+    l->localH = std::max(heightOf(l->left.loadAcquire()), n->localH) + 1;
   } else {
     // Copy-on-rotate (Figure 2(c)): n is unlinked and replaced by a fresh
     // copy n' placed under l, so a traversal preempted at n still has a
@@ -539,9 +541,7 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
     nn->deleted.storeRelaxed(n->deleted.read(tx));
     nn->left.storeRelaxed(lr);
     nn->right.storeRelaxed(r);
-    nn->leftH = l->rightH;
-    nn->rightH = n->rightH;
-    nn->localH = std::max(nn->leftH, nn->rightH) + 1;
+    nn->localH = std::max(heightOf(lr), heightOf(r)) + 1;
     // The copy inherits the original's heat: demotion must not double as a
     // heat reset, or splay promotions would erase the very signal that
     // protects the node from churn.
@@ -549,8 +549,7 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
     nn->heatEpoch = n->heatEpoch;
     l->right.write(tx, nn);
     n->removed.write(tx, RemState::Removed);
-    l->rightH = nn->localH;
-    l->localH = std::max(l->leftH, l->rightH) + 1;
+    l->localH = std::max(heightOf(l->left.loadAcquire()), nn->localH) + 1;
   }
   if (leftChild) {
     parent->left.write(tx, l);
@@ -577,27 +576,22 @@ SFTree::StructuralResult SFTree::rotateLeft(stm::Tx& tx, SFNode* parent,
   if (cfg_.ops == OpsVariant::Portable) {
     n->right.write(tx, rl);
     r->left.write(tx, n);
-    n->rightH = r->leftH;
-    n->localH = std::max(n->leftH, n->rightH) + 1;
-    r->leftH = n->localH;
-    r->localH = std::max(r->leftH, r->rightH) + 1;
+    n->localH = std::max(heightOf(l), heightOf(rl)) + 1;
+    r->localH = std::max(n->localH, heightOf(r->right.loadAcquire())) + 1;
   } else {
     SFNode* nn = arena_.create(n->key, n->value.read(tx));
     tx.onAbortDelete(nn, &SFTree::deleteNode);
     nn->deleted.storeRelaxed(n->deleted.read(tx));
     nn->left.storeRelaxed(l);
     nn->right.storeRelaxed(rl);
-    nn->leftH = n->leftH;
-    nn->rightH = r->leftH;
-    nn->localH = std::max(nn->leftH, nn->rightH) + 1;
+    nn->localH = std::max(heightOf(l), heightOf(rl)) + 1;
     nn->heat = n->heat;
     nn->heatEpoch = n->heatEpoch;
     r->left.write(tx, nn);
     // A node removed by a *left* rotation is replaced by a copy living in
     // its right subtree; find() must know to go right on a key match.
     n->removed.write(tx, RemState::RemovedByLeftRot);
-    r->leftH = nn->localH;
-    r->localH = std::max(r->leftH, r->rightH) + 1;
+    r->localH = std::max(nn->localH, heightOf(r->right.loadAcquire())) + 1;
   }
   if (leftChild) {
     parent->left.write(tx, r);
@@ -717,7 +711,7 @@ void SFTree::bumpHeat(SFNode* n, std::uint32_t ticks) {
 
 // --------------------------------------------------------------------------
 // Maintenance (paper §3.1/3.2/3.4): one pass at a time performs a targeted
-// drain and/or a depth-first traversal that propagates balance estimates,
+// drain and/or a depth-first traversal that propagates height estimates,
 // rotates unbalanced nodes in node-local transactions, physically removes
 // logically deleted nodes, and garbage-collects retired nodes after
 // quiescence. A MaintenanceScheduler runs the passes in the background.
@@ -1070,7 +1064,7 @@ void SFTree::processViolation(Key k, ViolationKind kind, std::uint32_t ticks,
     }
   }
 
-  // Bottom-up along the recorded root-path: refresh the balance estimates
+  // Bottom-up along the recorded root-path: refresh the height estimates
   // and rotate where the AVL bound is violated. A rotation at a deeper
   // position only replaces that position's subtree root, so the recorded
   // ancestors stay valid; each step re-reads its children's estimates. The
@@ -1215,21 +1209,17 @@ bool SFTree::tryRemoveAt(SFNode* parent, SFNode*& node, bool leftChild,
 
 bool SFTree::rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
                          bool& didWork) {
-  // Refresh this node's balance estimates from its children's stored ones
-  // (paper §3.1, "propagation"; the estimates are maintenance-private and
-  // tolerate staleness — off-path subtrees carry their own queue entries,
-  // though those may be repaired later in the same batch, which is why a
-  // sweeping pass lets its bottom-up sweep cover the batch instead).
-  SFNode* l = node->left.loadAcquire();
-  SFNode* r = node->right.loadAcquire();
-  const int lh = l != nullptr ? l->localH : 0;
-  const int rh = r != nullptr ? r->localH : 0;
-  const bool heightChanged =
-      node->leftH != lh || node->rightH != rh ||
-      node->localH != std::max(lh, rh) + 1;
-  node->leftH = lh;
-  node->rightH = rh;
-  node->localH = std::max(lh, rh) + 1;
+  // Refresh this node's height estimate from its children's (paper §3.1,
+  // "propagation"; the estimates are maintenance-private and tolerate
+  // staleness — off-path subtrees carry their own queue entries, though
+  // those may be repaired later in the same batch, which is why a sweeping
+  // pass lets its bottom-up sweep cover the batch instead). Only the node's
+  // own height matters to its ancestors, so only its change is reported.
+  const int lh = heightOf(node->left.loadAcquire());
+  const int rh = heightOf(node->right.loadAcquire());
+  const int h = std::max(lh, rh) + 1;
+  const bool heightChanged = node->localH != h;
+  node->localH = h;
 
   if (!cfg_.rotations) return heightChanged;
   // Hot-protection slack (docs/splaying.md): the demoting rotation below
@@ -1252,7 +1242,8 @@ bool SFTree::rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
     // single right rotation at `node` balances (two node-local
     // transactions, as in the paper's distributed rotation).
     SFNode* child = node->left.loadAcquire();
-    if (child != nullptr && child->rightH > child->leftH) {
+    if (child != nullptr && heightOf(child->right.loadAcquire()) >
+                                heightOf(child->left.loadAcquire())) {
       if (tryRotateLeft(node, /*leftChild=*/true)) {
         didWork = true;
         std::lock_guard<std::mutex> lk(maintStatsMu_);
@@ -1279,7 +1270,8 @@ bool SFTree::rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
   }
   if (rh - lh > 1) {
     SFNode* child = node->right.loadAcquire();
-    if (child != nullptr && child->leftH > child->rightH) {
+    if (child != nullptr && heightOf(child->left.loadAcquire()) >
+                                heightOf(child->right.loadAcquire())) {
       if (tryRotateRight(node, /*leftChild=*/false)) {
         didWork = true;
         std::lock_guard<std::mutex> lk(maintStatsMu_);

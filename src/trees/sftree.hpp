@@ -61,15 +61,15 @@ struct SFNode {
   stm::TxField<bool> deleted;     // logical deletion flag (paper `del`)
   stm::TxField<RemState> removed; // physical removal flag (paper `rem`)
 
-  // Balance estimates (paper: left-h / right-h / local-h). Read and written
-  // exclusively by the single maintenance thread — deliberately plain.
-  int leftH = 0;
-  int rightH = 0;
+  // Height estimate (paper: local-h). Read and written exclusively by the
+  // single maintenance thread — deliberately plain. The paper's left-h and
+  // right-h are not stored: they are the children's localH, read from the
+  // children, which keeps the node in one cache-line block.
   int localH = 1;
 
   // Decayed access-heat estimate driving the splay heuristic
   // (docs/splaying.md). Same single-structural-mutator discipline as the
-  // balance estimates: only the maintenance pass reads or writes these.
+  // height estimate: only the maintenance pass reads or writes these.
   // `heat` is a saturating tick count; `heatEpoch` stamps the decay epoch it
   // was last normalized to (heat halves once per elapsed epoch).
   std::uint32_t heat = 0;
@@ -77,6 +77,10 @@ struct SFNode {
 
   SFNode(Key k, Value v) : key(k), value(v) {}
 };
+// The node arena rounds blocks up to whole cache lines: one byte more and
+// every node takes two lines (twice the tree's memory and descent traffic).
+static_assert(sizeof(SFNode) <= mem::SlabArena::kBlockAlign,
+              "SFNode must fit one cache-line arena block");
 
 enum class OpsVariant : std::uint8_t {
   Portable,   // Algorithm 1
@@ -496,13 +500,12 @@ class SFTree {
   // true on a successful removal.
   bool tryRemoveAt(SFNode* parent, SFNode*& node, bool leftChild,
                    bool& didWork);
-  // Refreshes node's balance estimates from its children's stored estimates
-  // and rotates when the AVL bound is violated (`node` may be retired by
-  // the rotation; the caller re-reads the parent's link afterwards).
-  // Returns true when the node's stored height changed or a rotation was
-  // attempted — i.e. when the ancestors' estimates may now be stale. A
-  // false return lets a root-path walk stop propagating early (the classic
-  // AVL fixup termination).
+  // Refreshes node's height estimate from its children's and rotates when
+  // the AVL bound is violated (`node` may be retired by the rotation; the
+  // caller re-reads the parent's link afterwards). Returns true when the
+  // node's own height changed or a rotation was attempted — i.e. when the
+  // ancestors' estimates may now be stale. A false return lets a root-path
+  // walk stop propagating early (the classic AVL fixup termination).
   bool rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
                    bool& didWork);
   // Publishes a violation at key k when this update transaction commits.
@@ -518,7 +521,7 @@ class SFTree {
   // splaying is enabled, so the read path pays one predictable branch).
   void captureAccess(stm::Tx& tx, Key k);
   // Node heat, normalized to the current decay epoch (maintenance worker
-  // only, like the balance estimates).
+  // only, like the height estimate).
   std::uint32_t decayedHeat(const SFNode* n) const;
   void bumpHeat(SFNode* n, std::uint32_t ticks);
   // Bounded promotion loop: rotates `node` (position (parent, leftChild),

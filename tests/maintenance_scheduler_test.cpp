@@ -262,13 +262,15 @@ TEST(MaintenanceSchedulerTest, PauseStopsSchedulingUntilResume) {
 // Destroying the scheduler with registered entries must stop cleanly and
 // hand the cancel flag to in-flight passes.
 TEST(MaintenanceSchedulerTest, ShutdownCancelsInFlightPass) {
+  std::atomic<bool> started{false};
   std::atomic<bool> sawCancel{false};
   {
     shard::MaintenanceSchedulerConfig cfg;
     cfg.workers = 1;
     shard::MaintenanceScheduler scheduler(cfg);
-    scheduler.registerTree("slow", [&sawCancel](
+    scheduler.registerTree("slow", [&started, &sawCancel](
                                        const std::atomic<bool>* cancel) {
+      started.store(true);
       // Simulate a long pass over a huge tree: poll the cancel flag the way
       // SFTree::maintainSubtree does.
       for (int i = 0; i < 100'000; ++i) {
@@ -280,7 +282,9 @@ TEST(MaintenanceSchedulerTest, ShutdownCancelsInFlightPass) {
       }
       return false;
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Wait for the pass itself, not a fixed time: on a loaded machine the
+    // worker may not have picked the tree yet after a few milliseconds.
+    waitFor([&] { return started.load(); });
     // Destructor runs here while the pass is mid-flight.
   }
   EXPECT_TRUE(sawCancel.load());

@@ -1,7 +1,8 @@
 // Targeted (violation-queue-fed) maintenance: convergence without full
-// sweeps, how a sweeping pass covers the collected entries, commit-time
-// capture and the drain's per-(key, kind) merge, and the enqueue-at-commit
-// vs drain/rotation race under real concurrency (run under TSan in CI).
+// sweeps, exact height estimates at the fixpoint, how a sweeping pass
+// covers the collected entries, commit-time capture and the drain's
+// per-(key, kind) merge, and the enqueue-at-commit vs drain/rotation race
+// under real concurrency (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +47,25 @@ int drainToFixpoint(trees::SFTree& tree, int maxPasses = 10'000) {
   }
   ADD_FAILURE() << "targeted maintenance did not reach a fixpoint";
   return maxPasses;
+}
+
+// Real height of the subtree at n; counts into `stale` every node whose
+// height estimate (localH) differs from it.
+int realHeight(const trees::SFNode* n, std::size_t& stale) {
+  if (n == nullptr) return 0;
+  const int h = 1 + std::max(realHeight(n->left.loadAcquire(), stale),
+                             realHeight(n->right.loadAcquire(), stale));
+  if (n->localH != h) ++stale;
+  return h;
+}
+
+// Reachable nodes (sentinel excluded) with a stale height estimate; quiesced
+// trees only. Rotations and climbs derive localH from the children's, so a
+// tree maintenance has caught up with must have none.
+std::size_t staleHeights(trees::SFTree& tree) {
+  std::size_t stale = 0;
+  realHeight(tree.rootForTest()->left.loadAcquire(), stale);
+  return stale;
 }
 
 double log2OfAtLeastOne(std::size_t n) {
@@ -96,6 +116,7 @@ TEST(MaintenanceTargetedTest, SequentialFillConvergesWithoutSweeps) {
 // zero full sweeps. The targeted fixpoint must leave a sweep nothing to do:
 // a deleted node that a rotation leaves removable is queued by the
 // rotation, so no removal (nor a rotation it would enable) waits for one.
+// Every height estimate is exact there and after the sweep.
 class RandomChurnTest : public ::testing::TestWithParam<trees::OpsVariant> {};
 
 TEST_P(RandomChurnTest, ConvergesAndRemovesWithoutSweeps) {
@@ -135,11 +156,13 @@ TEST_P(RandomChurnTest, ConvergesAndRemovesWithoutSweeps) {
 
   const double bound = 1.7 * log2OfAtLeastOne(tree.structuralSize()) + 3.0;
   EXPECT_LE(tree.height(), bound);
+  EXPECT_EQ(staleHeights(tree), 0u) << "at the targeted fixpoint";
 
   tree.quiesceNow();
   const auto swept = tree.maintenanceStats();
   EXPECT_EQ(swept.removals, ms.removals) << "removals left for the sweep";
   EXPECT_EQ(swept.rotations, ms.rotations) << "rotations left for the sweep";
+  EXPECT_EQ(staleHeights(tree), 0u) << "after quiesceNow";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -175,6 +198,7 @@ TEST(MaintenanceTargetedTest, QuiesceAfterBalancedFillRotatesNothing) {
   EXPECT_EQ(tree.height(), 12);
   EXPECT_EQ(tree.arenaForStats().slabCount(), slabs);
   EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  EXPECT_EQ(staleHeights(tree), 0u);
   const auto check = trees::checkSFTree(tree);
   EXPECT_TRUE(check.ok) << check.error;
 }
