@@ -9,9 +9,6 @@
 #    into BENCH_maintpath.json;
 #  * observability overhead (obs_overhead: off vs always-on metrics vs
 #    enabled trace, interleaved reps) written to BENCH_obs.json;
-#  * splay-under-skew A/B (splay_skew: uniform/Zipf x splay on/off,
-#    fresh tree per arm, plus the deterministic hot-set depth proxy)
-#    written to BENCH_splay.json;
 #  * serving tier (serving_ycsb: batched-vs-per-op amortization proxy plus
 #    the open-loop Poisson SLO sweep over YCSB A/B/C mixes) written to
 #    BENCH_serving.json;
@@ -20,12 +17,12 @@
 #    written to BENCH_ckpt.json.
 #
 #   bench/run_quick.sh [BUILD_DIR] [READPATH_JSON] [MAINTPATH_JSON] \
-#                      [OBS_JSON] [SPLAY_JSON] [SERVING_JSON] [CKPT_JSON]
+#                      [OBS_JSON] [SERVING_JSON] [CKPT_JSON]
 #
 # Defaults: BUILD_DIR=build, READPATH_JSON=BENCH_readpath.json,
 # MAINTPATH_JSON=BENCH_maintpath.json, OBS_JSON=BENCH_obs.json,
-# SPLAY_JSON=BENCH_splay.json, SERVING_JSON=BENCH_serving.json,
-# CKPT_JSON=BENCH_ckpt.json (in the current directory).
+# SERVING_JSON=BENCH_serving.json, CKPT_JSON=BENCH_ckpt.json (in the
+# current directory).
 #
 # Each report is emitted independently: a missing bench binary (or missing
 # jq, for the two merged reports) skips just that section with a clear
@@ -39,9 +36,8 @@ BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_readpath.json}"
 OUT_MAINT="${3:-BENCH_maintpath.json}"
 OUT_OBS="${4:-BENCH_obs.json}"
-OUT_SPLAY="${5:-BENCH_splay.json}"
-OUT_SERVING="${6:-BENCH_serving.json}"
-OUT_CKPT="${7:-BENCH_ckpt.json}"
+OUT_SERVING="${5:-BENCH_serving.json}"
+OUT_CKPT="${6:-BENCH_ckpt.json}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
   echo "run_quick.sh: build dir '$BUILD_DIR' not found" >&2
@@ -156,21 +152,6 @@ if have_bin obs_overhead; then
   echo "overhead report written to $OUT_OBS"
 else
   skip_section "$OUT_OBS" "obs_overhead not built"
-fi
-
-# --- Splay under skew -----------------------------------------------------
-# fig3-style mix, uniform vs Zipf(0.99), splaying on vs off on fresh trees
-# (interleaved reps, per-arm minima), plus the single-threaded fixed-op
-# depth proxy the schema checker gates deterministically on any core count.
-if have_bin splay_skew; then
-  "$BUILD_DIR/splay_skew" --reps=9 --threads=2 --duration-ms=200 \
-    --size-log=12 --det-ops=1000000 --json="$TMP/splay.json" >/dev/null
-  cp "$TMP/splay.json" "$OUT_SPLAY.tmp.$$"
-  mv "$OUT_SPLAY.tmp.$$" "$OUT_SPLAY"
-  EMITTED=$((EMITTED + 1))
-  echo "splay skew report written to $OUT_SPLAY"
-else
-  skip_section "$OUT_SPLAY" "splay_skew not built"
 fi
 
 # --- Serving tier ---------------------------------------------------------

@@ -30,17 +30,6 @@ build. Dispatch is on the top-level "bench" tag:
     every run. --fresh relaxes the ratio gates to 10%/20% for freshly
     generated reports on noisy shared runners; the committed baseline is
     always held to the strict bounds.
-  * splay_skew — field-presence checks plus the splay-under-skew gates
-    (BENCH_splay.json): with splaying on, the Zipf(0.99) mix must either
-    cut the hot set's mean access depth >= 1.5x (the deterministic proxy —
-    the converged tree shape does not depend on machine speed, so this
-    gate holds on any core count) or win >= 1.3x throughput; the uniform
-    mix must stay >= 0.95x parity (hysteresis: no churn without skew); the
-    read-path sampling must cost <= 2% on the pure-read probe; and the
-    deterministic arm must actually have performed splay steps. --fresh
-    relaxes the noise-exposed bounds (depth 1.3x / tput 1.15x / parity
-    0.85 / overhead 6%) for reports generated on shared runners; the
-    committed baseline is always held to the strict bounds.
   * serving_ycsb — field-presence checks plus the serving-tier acceptance
     gates (BENCH_serving.json): at equal offered load on the read-mostly
     (YCSB-B-like) mix, transaction coalescing must complete >= 1.3x the
@@ -72,9 +61,13 @@ build. Dispatch is on the top-level "bench" tag:
     with --baseline <committed BENCH_maintpath.json>, a trajectory guard
     that fails when targeted maintenance work per committed update regresses
     by more than 20% against the committed baseline. Work per committed
-    update (nodes visited by maintenance / committed updates) is the
-    deterministic proxy for maintenance CPU per update — wall-clock CPU on
-    shared CI runners is too noisy to gate on.
+    update is nodes visited by maintenance / committed updates. The >= 1.5x
+    saving is not a deterministic proxy: the sweep arm's figure is sweeps
+    per update x nodes per sweep, and sweeps per update is the ratio of the
+    maintenance thread's speed to the mutators'. On a 4-vCPU machine the
+    saving read 0.85-2.06x and failed in most runs, while the trajectory
+    guard on the targeted arm held (8.7-13.5 visits per update against a
+    bound of 15.1).
 """
 import argparse
 import json
@@ -263,78 +256,6 @@ def check_obs_overhead(top, fresh) -> None:
     print(f"check_bench_schema: obs gates OK ({kind}) — metrics "
           f"{metrics_ratio:.3f}x, trace {trace_ratio:.3f}x, cause sums "
           "match")
-
-
-SPLAY_RECORD_KEYS = [
-    "arm", "rep", "ops", "seconds", "ns_per_op", "ops_per_us", "abort_ratio",
-]
-
-SPLAY_META_KEYS = [
-    "reps", "threads", "hw_concurrency", "duration_ms", "size_log",
-    "update_percent", "zipf_s", "det_ops", "hot_ranks", "zipf_tput_ratio",
-    "uniform_parity_ratio", "read_overhead_ratio", "hot_depth_off",
-    "hot_depth_on", "zipf_hot_depth_reduction", "pop_depth_off",
-    "pop_depth_on", "det_splay_steps",
-]
-
-SPLAY_ARMS = ("uniform_off", "uniform_on", "zipf_off", "zipf_on",
-              "read_off", "read_on")
-
-
-def check_splay(top, fresh) -> None:
-    check_repo_report(top, "splay_skew", SPLAY_RECORD_KEYS)
-    require(top["meta"], SPLAY_META_KEYS, "splay_skew.meta")
-    meta = top["meta"]
-
-    # Recompute the throughput ratios from per-arm minima over the
-    # interleaved reps (same robust-estimator rationale as obs_overhead)
-    # instead of trusting the meta block.
-    by_arm = {}
-    for rec in top["results"]:
-        by_arm.setdefault(rec["arm"], []).append(rec["ns_per_op"])
-    for arm in SPLAY_ARMS:
-        if not by_arm.get(arm):
-            fail(f"splay_skew has no '{arm}' records")
-        if min(by_arm[arm]) <= 0:
-            fail(f"splay_skew '{arm}' best ns/op is zero")
-    zipf_ratio = min(by_arm["zipf_off"]) / min(by_arm["zipf_on"])
-    parity = min(by_arm["uniform_off"]) / min(by_arm["uniform_on"])
-    overhead = min(by_arm["read_on"]) / min(by_arm["read_off"])
-    depth_red = meta["zipf_hot_depth_reduction"]
-
-    kind = "fresh" if fresh else "committed"
-    if meta["det_splay_steps"] <= 0:
-        fail("splay_skew: the deterministic arm performed zero splay steps "
-             "— the heuristic never engaged")
-
-    # Headline gate: pay under skew. Depth reduction is the deterministic
-    # proxy (converged tree shape, machine-speed independent); wall-clock
-    # throughput also satisfies the gate where the runner delivers it.
-    depth_bound = 1.3 if fresh else 1.5
-    tput_bound = 1.15 if fresh else 1.3
-    if depth_red < depth_bound and zipf_ratio < tput_bound:
-        fail(f"splaying pays neither in depth nor throughput under "
-             f"Zipf skew: hot-set depth reduction {depth_red:.2f}x "
-             f"(bound {depth_bound:.2f}) and throughput {zipf_ratio:.2f}x "
-             f"(bound {tput_bound:.2f}) for a {kind} report")
-
-    # Hysteresis gate: a uniform workload must not pay for the feature.
-    parity_bound = 0.85 if fresh else 0.95
-    if parity < parity_bound:
-        fail(f"splaying costs a uniform workload {parity:.3f}x parity "
-             f"(bound {parity_bound:.2f} for a {kind} report)")
-
-    # Read-path gate: the access-tick sampling itself (probe runs without
-    # the maintenance consumer; publishes accumulate in the queue).
-    overhead_bound = 1.06 if fresh else 1.02
-    if overhead > overhead_bound:
-        fail(f"access-tick sampling costs {overhead:.3f}x on the pure-read "
-             f"probe (bound {overhead_bound:.2f} for a {kind} report)")
-
-    print(f"check_bench_schema: splay gates OK ({kind}) — depth reduction "
-          f"{depth_red:.2f}x, zipf tput {zipf_ratio:.2f}x, uniform parity "
-          f"{parity:.3f}, read overhead {overhead:.3f}x, "
-          f"{meta['det_splay_steps']} splay steps")
 
 
 SERVING_AMORT_KEYS = [
@@ -600,8 +521,6 @@ def main() -> None:
         check_reshard(top)
     elif top["bench"] == "obs_overhead":
         check_obs_overhead(top, args.fresh)
-    elif top["bench"] == "splay_skew":
-        check_splay(top, args.fresh)
     elif top["bench"] == "serving_ycsb":
         check_serving(top, args.fresh)
     elif top["bench"] == "ckpt":

@@ -20,7 +20,7 @@
 // reports the measured effective ratio.
 // * Zipf: keys drawn rank-wise from Zipf(s) (zipfS > 0 overrides uniform
 //   and biased for every key draw) — the "millions of users, few of them
-//   hot" access pattern the splay heuristic targets (docs/splaying.md).
+//   hot" access pattern of the serving benches.
 //   Ranks scatter onto keys through a fixed multiplicative bijection so the
 //   hot set is spread across the key space instead of clustering at the low
 //   end (which would alias the biased workload's drift, and pile the heat

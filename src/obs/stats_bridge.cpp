@@ -69,13 +69,6 @@ void emitMaintenanceStats(MetricSink& out, const std::string& prefix,
   out.counter(join(prefix, "shared_prefix_skips"), s.sharedPrefixSkips);
   out.counter(join(prefix, "entries_merged"), s.entriesMerged);
   out.counter(join(prefix, "sweeps_deferred"), s.sweepsDeferred);
-  out.counter(join(prefix, "access_entries_drained"), s.accessEntriesDrained);
-  out.counter(join(prefix, "access_ticks_consumed"), s.accessTicksConsumed);
-  out.counter(join(prefix, "splay_steps"), s.splaySteps);
-  out.counter(join(prefix, "splay_zig_zigs"), s.splayZigZigs);
-  out.counter(join(prefix, "splay_budget_stops"), s.splayBudgetStops);
-  out.counter(join(prefix, "rebalance_skipped_hot"), s.rebalanceSkippedHot);
-  out.histogram(join(prefix, "access_depth"), s.accessDepth);
   out.histogram(join(prefix, "pass_ns"), s.passNs);
   emitViolationQueueStats(out, join(prefix, "queue"), s.queue);
 }

@@ -177,7 +177,6 @@ const char* traceKindName(TraceKind k) {
     case TraceKind::kMigrationBatch: return "migration_batch";
     case TraceKind::kReshardDecision: return "reshard_decision";
     case TraceKind::kMaintPass: return "maint_pass";
-    case TraceKind::kSplayStep: return "splay_step";
   }
   return "unknown";
 }

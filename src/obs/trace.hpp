@@ -41,8 +41,6 @@ enum class TraceKind : std::uint8_t {
   kReshardDecision = 7,  // a = shard index, b = rounded load;
                          // op = ReshardDecision::Action, cause = acted
   kMaintPass = 8,        // a = tree id, b = pass duration ns
-  kSplayStep = 9,        // a = promoted key, b = new depth (root path len);
-                         // op = 1 when the step completed a zig-zig pair
 };
 
 const char* traceKindName(TraceKind k);

@@ -1,11 +1,11 @@
 // Maintenance scheduler: the one driver of background restructuring.
 //
 // The paper dedicates one rotator thread per tree (§3.1); that rotator is
-// the one-worker configuration below (dedicatedRotatorConfig), which SFTree
-// and SFSkipList own when they maintain themselves. A process hosting more
-// trees than spare cores shares one pool instead: N trees register a pass
-// callback, K worker threads (K typically << N) round-robin passes across
-// them. Splay-tree analysis reminds us restructuring cost is
+// the one-worker configuration below (dedicatedRotatorConfig), which an
+// SFTree owns when it maintains itself. A process hosting more trees than
+// spare cores shares one pool instead: N trees register a pass callback, K
+// worker threads (K typically << N) round-robin passes across them.
+// Splay-tree analysis reminds us restructuring cost is
 // access-sequence-dependent, so passes are steered to where the work is:
 //
 //  * per-tree exponential backoff — a tree whose pass performed no
@@ -22,8 +22,8 @@
 //    pool cycles through cold shards. Trees reporting equal (or no) load
 //    keep the round-robin order, which keeps the pick starvation-free.
 //
-// The scheduler is deliberately tree-agnostic (callbacks only): SFTree and
-// SFSkipList register themselves, and unit tests register plain lambdas.
+// The scheduler is deliberately tree-agnostic (callbacks only): SFTree
+// registers itself, and unit tests register plain lambdas.
 #pragma once
 
 #include <atomic>

@@ -49,9 +49,8 @@ struct ReshardControllerConfig {
   std::uint64_t minOpsPerSample = 1024;
   // Heat-weighted splitting: fold the shard's hottest routing slot's
   // decayed traffic into its load score, scaled by this factor. A shard
-  // whose traffic concentrates on one slot (skew — the population the
-  // splay heuristic serves) then out-scores a shard carrying the same
-  // traffic spread evenly, and splits first. The decayed accumulator makes
+  // whose traffic concentrates on one slot (skew) then out-scores a shard
+  // carrying the same traffic spread evenly, and splits first. The decayed accumulator makes
   // *persistent* skew count more than one bursty interval (see
   // sampleAndAct). 0 disables the term (the pre-heat policy).
   double heatWeight = 1.0;

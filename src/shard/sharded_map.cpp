@@ -904,13 +904,6 @@ ShardedMapStats ShardedMap::aggregatedStats() const {
     out.maintenance.sharedPrefixSkips += m.sharedPrefixSkips;
     out.maintenance.entriesMerged += m.entriesMerged;
     out.maintenance.sweepsDeferred += m.sweepsDeferred;
-    out.maintenance.accessEntriesDrained += m.accessEntriesDrained;
-    out.maintenance.accessTicksConsumed += m.accessTicksConsumed;
-    out.maintenance.splaySteps += m.splaySteps;
-    out.maintenance.splayZigZigs += m.splayZigZigs;
-    out.maintenance.splayBudgetStops += m.splayBudgetStops;
-    out.maintenance.rebalanceSkippedHot += m.rebalanceSkippedHot;
-    out.maintenance.accessDepth += m.accessDepth;
     out.maintenance.passNs += m.passNs;
     out.maintenance.queue.captured += m.queue.captured;
     out.maintenance.queue.enqueued += m.queue.enqueued;

@@ -40,15 +40,6 @@ SFTree::SFTree(SFTreeConfig cfg)
   // no-restructuring baseline must not accumulate queue entries.
   captureViolations_ =
       cfg_.targetedMaintenance && (cfg_.rotations || cfg_.removals);
-  // Splaying needs both the queue (access ticks ride it) and rotations (the
-  // promotions are rotations); anything less degrades to Off.
-  splayEnabled_ = cfg_.splay != SplayPolicy::Off && cfg_.rotations &&
-                  captureViolations_;
-  splay_ = cfg_.splayParams();
-  if (splay_.decayHalfLifeNs == 0) splay_.decayHalfLifeNs = 1;
-  if (splay_.promoteDen == 0) splay_.promoteDen = 1;
-  accessSampleMask_ = (std::uint32_t{1} << splay_.sampleShift) - 1;
-  createdTick_ = obs::tick();
   pathBuf_.reserve(64);
   if (cfg_.startMaintenance) startMaintenance();
 }
@@ -175,10 +166,7 @@ bool SFTree::containsTx(stm::Tx& tx, Key k) {
   stm::DomainScope dscope(tx, domain_);
   SFNode* curr = find(tx, k);
   if (curr->key != k) return false;
-  if (curr->deleted.read(tx)) return false;
-  // Lookup hit: feed the splay heuristic (sampled; no-op when disabled).
-  captureAccess(tx, k);
-  return true;
+  return !curr->deleted.read(tx);
 }
 
 std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
@@ -186,7 +174,6 @@ std::optional<Value> SFTree::getTx(stm::Tx& tx, Key k) {
   SFNode* curr = find(tx, k);
   if (curr->key != k) return std::nullopt;
   if (curr->deleted.read(tx)) return std::nullopt;
-  captureAccess(tx, k);
   return curr->value.read(tx);
 }
 
@@ -542,11 +529,6 @@ SFTree::StructuralResult SFTree::rotateRight(stm::Tx& tx, SFNode* parent,
     nn->left.storeRelaxed(lr);
     nn->right.storeRelaxed(r);
     nn->localH = std::max(heightOf(lr), heightOf(r)) + 1;
-    // The copy inherits the original's heat: demotion must not double as a
-    // heat reset, or splay promotions would erase the very signal that
-    // protects the node from churn.
-    nn->heat = n->heat;
-    nn->heatEpoch = n->heatEpoch;
     l->right.write(tx, nn);
     n->removed.write(tx, RemState::Removed);
     l->localH = std::max(heightOf(l->left.loadAcquire()), nn->localH) + 1;
@@ -585,8 +567,6 @@ SFTree::StructuralResult SFTree::rotateLeft(stm::Tx& tx, SFNode* parent,
     nn->left.storeRelaxed(l);
     nn->right.storeRelaxed(rl);
     nn->localH = std::max(heightOf(l), heightOf(rl)) + 1;
-    nn->heat = n->heat;
-    nn->heatEpoch = n->heatEpoch;
     r->left.write(tx, nn);
     // A node removed by a *left* rotation is replaced by a copy living in
     // its right subtree; find() must know to go right on a key match.
@@ -680,35 +660,6 @@ void SFTree::captureIfRemovable(stm::Tx& tx, SFNode* n, SFNode* left,
   }
 }
 
-void SFTree::captureAccess(stm::Tx& tx, Key k) {
-  if (!splayEnabled_) return;
-  // Per-thread 1-in-2^shift sampling, shared across trees: the counter costs
-  // one TLS increment per hit, and only sampled hits pay the commit hook +
-  // queue publish. The heat estimate is lossy by design, so approximate
-  // per-tree rates under interleaved multi-tree traffic are fine.
-  static thread_local std::uint32_t sampleCtr = 0;
-  if ((++sampleCtr & accessSampleMask_) != 0) return;
-  tx.onCommit([this, k] { violations_.publish(k, ViolationKind::kAccess); });
-}
-
-std::uint32_t SFTree::decayedHeat(const SFNode* n) const {
-  // heatEpoch only moves forward and only the maintenance worker writes it,
-  // so the delta is non-negative.
-  const std::uint32_t delta = heatEpochNow_ - n->heatEpoch;
-  if (delta == 0) return n->heat;
-  return delta >= 32 ? 0 : (n->heat >> delta);
-}
-
-void SFTree::bumpHeat(SFNode* n, std::uint32_t ticks) {
-  // Normalize to the current epoch, then saturate well below overflow so a
-  // pathological burst cannot wrap the estimate.
-  constexpr std::uint32_t kHeatCap = std::uint32_t{1} << 24;
-  const std::uint64_t h =
-      static_cast<std::uint64_t>(decayedHeat(n)) + ticks;
-  n->heatEpoch = heatEpochNow_;
-  n->heat = static_cast<std::uint32_t>(std::min<std::uint64_t>(h, kHeatCap));
-}
-
 // --------------------------------------------------------------------------
 // Maintenance (paper §3.1/3.2/3.4): one pass at a time performs a targeted
 // drain and/or a depth-first traversal that propagates height estimates,
@@ -797,10 +748,10 @@ bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
   if (!fullSweep) {
     // Periodic fallback sweep: the safety net for anything the queue could
     // not carry — dropped captures on overflow, estimate drift. The
-    // *periodic* sweep is deferrable: a drain that carried only kAccess
-    // splay traffic left no structural debt for the sweep to find
-    // (maintainOnce decides). An overflow sweep is not — dropped captures
-    // are exactly the missed work only a sweep recovers.
+    // *periodic* sweep is deferrable: a pass that drained nothing has no
+    // fresh work for it to cover (maintainOnce decides). An overflow sweep
+    // is not — dropped captures are exactly the missed work only a sweep
+    // recovers.
     ++passesSinceSweep_;
     if (cfg_.fullSweepPeriod > 0 && passesSinceSweep_ >= cfg_.fullSweepPeriod) {
       fullSweep = true;
@@ -817,28 +768,16 @@ bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
 bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
                           bool sweepDeferrable) {
   const std::uint64_t passStart = obs::tick();
-  if (splayEnabled_) {
-    // One decay-epoch refresh and one fresh rotation budget per pass: every
-    // heat comparison inside the pass sees a consistent epoch, and the
-    // budget caps the pass's promotion latency no matter how hot the queue.
-    heatEpochNow_ = static_cast<std::uint32_t>(
-        obs::ticksToNs(passStart - createdTick_) / splay_.decayHalfLifeNs);
-    splayBudgetLeft_ = splay_.rotationBudget;
-    splayBudgetHit_ = false;
-  }
   limbo_.openEpoch();
   bool didWork = false;
-  bool sawStructural = false;
   bool sweepDeferred = false;
-  if (cfg_.targetedMaintenance) sawStructural = collectViolations(cancel);
-  if (fullSweep && sweepDeferrable && !sawStructural &&
-      cfg_.fullSweepPeriod > 0 &&
+  if (cfg_.targetedMaintenance) collectViolations(cancel);
+  if (fullSweep && sweepDeferrable && drainBuf_.empty() &&
       passesSinceSweep_ < 4 * cfg_.fullSweepPeriod) {
-    // Splay-aware backoff: this period's drain was pure kAccess traffic
-    // (or empty) — structurally clean, nothing for the safety net to
-    // recover — so skip the O(n) DFS. passesSinceSweep_ keeps climbing, so
-    // the period re-fires next pass and the 4x cap bounds how long a
-    // dropped-entry race can hide (quiesceNow still always sweeps).
+    // Backoff: this pass drained nothing, so there is no fresh work for the
+    // safety net to cover — skip the O(n) DFS. passesSinceSweep_ keeps
+    // climbing, so the period re-fires next pass and the 4x cap bounds how
+    // long a dropped-entry race can hide (quiesceNow still always sweeps).
     fullSweep = false;
     sweepDeferred = true;
   }
@@ -855,7 +794,7 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     passesSinceSweep_ = 0;
     swept = !isCancelled(cancel);  // a cancelled sweep may have stopped short
   }
-  if (cfg_.targetedMaintenance && repairViolations(cancel, swept)) {
+  if (cfg_.targetedMaintenance && !swept && repairViolations(cancel)) {
     didWork = true;
   }
   limbo_.tryCollect();
@@ -870,10 +809,6 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
     maintStats_.passNs.record(passNs);
     ++maintStats_.traversals;
     if (fullSweep) ++maintStats_.fullSweeps;
-    if (splayBudgetHit_) {
-      ++maintStats_.splayBudgetStops;
-      splayBudgetHit_ = false;
-    }
     maintStats_.nodesFreed = limbo_.freedTotal();
     if (sweepDeferred) ++maintStats_.sweepsDeferred;
     // passVisited_ is worker-private; fold it into the guarded stats once
@@ -895,70 +830,57 @@ bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
 // tree (the runMaintenancePass contract): concurrent abstract operations
 // only link fresh leaves (published with release stores) and flip flags.
 // --------------------------------------------------------------------------
-bool SFTree::collectViolations(const std::atomic<bool>* cancel) {
+void SFTree::collectViolations(const std::atomic<bool>* cancel) {
   // Sort by (key, kind): key-sorted neighbors share the longest possible
   // root-path prefixes, so each repair can resume the previous entry's
   // recorded walk instead of re-descending from the root (sharedPrefixSkips
   // counts the avoided steps), and duplicates sit next to each other. Each
-  // (key, kind) is then merged into one entry weighing all of its captures:
-  // one repair per pass, and an access entry carries every sampled hit. An
+  // (key, kind) is then merged into one entry: one repair per pass. An
   // update that commits after the drain pushes a fresh entry, repaired next
   // pass.
   drainBuf_.clear();
-  bool sawStructural = false;
   violations_.drain([&](Key k, ViolationKind kind) {
-    drainBuf_.push_back(DrainEntry{k, 1, kind});
-    sawStructural |= kind != ViolationKind::kAccess;
+    drainBuf_.push_back(DrainEntry{k, kind});
     return !isCancelled(cancel);
   });
   std::sort(drainBuf_.begin(), drainBuf_.end(),
             [](const DrainEntry& a, const DrainEntry& b) {
               return a.key != b.key ? a.key < b.key : a.kind < b.kind;
             });
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < drainBuf_.size(); ++i) {
-    const DrainEntry& e = drainBuf_[i];
-    if (kept > 0 && drainBuf_[kept - 1].key == e.key &&
-        drainBuf_[kept - 1].kind == e.kind) {
-      drainBuf_[kept - 1].weight += e.weight;
-    } else {
-      drainBuf_[kept++] = e;
-    }
-  }
-  passMerged_ += drainBuf_.size() - kept;
-  drainBuf_.resize(kept);
-  return sawStructural;
+  const auto kept = std::unique(
+      drainBuf_.begin(), drainBuf_.end(),
+      [](const DrainEntry& a, const DrainEntry& b) {
+        return a.key == b.key && a.kind == b.kind;
+      });
+  passMerged_ += static_cast<std::uint64_t>(drainBuf_.end() - kept);
+  drainBuf_.erase(kept, drainBuf_.end());
 }
 
-bool SFTree::repairViolations(const std::atomic<bool>* cancel,
-                              bool accessOnly) {
+bool SFTree::repairViolations(const std::atomic<bool>* cancel) {
   bool didWork = false;
   bool reusePath = false;
   bool cancelled = false;
   for (const DrainEntry& e : drainBuf_) {
-    if (accessOnly && e.kind != ViolationKind::kAccess) continue;
     cancelled = cancelled || isCancelled(cancel);
     if (cancelled) {
       // Cancelled mid-batch: hand the unrepaired tail back to the queue so
-      // the next pass (or quiesceNow) repairs it. A merged access entry's
-      // weight is dropped by the round-trip — heat is a lossy estimate by
-      // contract.
+      // the next pass (or quiesceNow) repairs it.
       violations_.publish(e.key, e.kind);
       continue;
     }
     bool entryWork = false;
-    processViolation(e.key, e.kind, e.weight, entryWork, reusePath);
+    processViolation(e.key, e.kind, entryWork, reusePath);
     didWork |= entryWork;
-    // A repair that did structural work (rotations, removals, promotions)
-    // may have retired nodes recorded in pathBuf_; only then is the
-    // recorded path unusable for the next entry.
+    // A repair that did structural work (rotations, removals) may have
+    // retired nodes recorded in pathBuf_; only then is the recorded path
+    // unusable for the next entry.
     reusePath = !entryWork;
   }
   return didWork;
 }
 
-void SFTree::processViolation(Key k, ViolationKind kind, std::uint32_t ticks,
-                              bool& didWork, bool reusePath) {
+void SFTree::processViolation(Key k, ViolationKind kind, bool& didWork,
+                              bool reusePath) {
   // Root-path walk to k's position, recording the path. The walk can only
   // meet reachable (never removed) nodes; nodes this pass itself retires
   // stay readable until a later pass's collection epoch.
@@ -1015,33 +937,6 @@ void SFTree::processViolation(Key k, ViolationKind kind, std::uint32_t ticks,
     }
   }
 
-  if (kind == ViolationKind::kAccess) {
-    // Heat fold + bounded promotion. A stale tick (key physically removed
-    // or logically deleted since the sampled lookup) is simply dropped —
-    // the estimate is lossy by contract, and nothing structural is owed.
-    {
-      std::lock_guard<std::mutex> lk(maintStatsMu_);
-      ++maintStats_.accessEntriesDrained;
-      if (node != nullptr) {
-        maintStats_.accessTicksConsumed += ticks;
-        maintStats_.accessDepth.record(pathBuf_.size() + 1);
-      }
-    }
-    if (node == nullptr) return;
-    ++passVisited_;
-    if (node->deleted.loadAcquire()) return;
-    bumpHeat(node, ticks);
-    splayPromote(parent, node, leftChild, didWork);
-    // Promotions changed subtree shapes under the remaining ancestors:
-    // refresh their estimates bottom-up (breaks immediately when nothing
-    // was promoted).
-    for (auto it = pathBuf_.rbegin(); it != pathBuf_.rend(); ++it) {
-      ++passVisited_;
-      if (!rebalanceAt(it->parent, it->node, it->leftChild, didWork)) break;
-    }
-    return;
-  }
-
   if (kind == ViolationKind::kErase) {
     // Pure-removal repair: probe the unlink, and only climb when something
     // was actually removed — a refused removal (two children, flag cleared
@@ -1083,100 +978,6 @@ void SFTree::processViolation(Key k, ViolationKind kind, std::uint32_t ticks,
                                   didWork);
     }
     if (!levelChanged) break;
-  }
-}
-
-// --------------------------------------------------------------------------
-// Semantic splaying (docs/splaying.md): rotate a hot node toward the root in
-// the same node-local maintenance transactions the rebalancer uses, so the
-// promotion work — like all restructuring in this tree — stays off the
-// abort-prone application path. Each zig is one rotation at the *parent's*
-// position that lifts `node` over its parent (our rotation primitives lift
-// the named child intact and demote-copy the parent, so `node` survives
-// every step). Aligned double-links additionally take the classic zig-zig
-// shortcut: lift the parent over the grandparent first, which straightens
-// the path so the follow-up zig leaves the subtree better balanced than two
-// independent single rotations would.
-// --------------------------------------------------------------------------
-void SFTree::splayPromote(SFNode*& parent, SFNode*& node, bool& leftChild,
-                          bool& didWork) {
-  if (!splayEnabled_) return;
-  bool zigzigArmed = false;  // previous iteration lifted our parent (half a
-                             // zig-zig); the next zig completes the pair
-  while (pathBuf_.size() > static_cast<std::size_t>(splay_.minDepth)) {
-    const std::uint64_t nh = decayedHeat(node);
-    if (nh < splay_.minHeat) break;  // hysteresis floor
-    PathStep& par = pathBuf_.back();
-    // Dominance margin: only promote past a parent the node is num/den
-    // hotter than, so two comparably hot keys do not thrash one position.
-    if (nh * splay_.promoteDen <=
-        static_cast<std::uint64_t>(decayedHeat(par.node)) * splay_.promoteNum) {
-      break;
-    }
-    if (splayBudgetLeft_ == 0) {
-      splayBudgetHit_ = true;
-      break;
-    }
-    // Zig-zig head start: when the two links are aligned and the node also
-    // dominates its grandparent, rotate the grandparent first.
-    if (!zigzigArmed && splayBudgetLeft_ >= 2 &&
-        pathBuf_.size() > static_cast<std::size_t>(splay_.minDepth) + 1 &&
-        par.leftChild == leftChild) {
-      PathStep& gp = pathBuf_[pathBuf_.size() - 2];
-      if (nh * splay_.promoteDen >
-          static_cast<std::uint64_t>(decayedHeat(gp.node)) *
-              splay_.promoteNum) {
-        const bool ok = leftChild ? tryRotateRight(gp.parent, gp.leftChild)
-                                  : tryRotateLeft(gp.parent, gp.leftChild);
-        if (!ok) {
-          std::lock_guard<std::mutex> lk(maintStatsMu_);
-          ++maintStats_.failedStructuralOps;
-          break;
-        }
-        didWork = true;
-        --splayBudgetLeft_;
-        // The parent now owns the grandparent's position; `node` is still
-        // its `leftChild`-side child. Rewrite the tail of the path to match
-        // and let the generic zig below finish the pair.
-        const PathStep lifted{gp.parent, par.node, gp.leftChild};
-        pathBuf_.pop_back();
-        pathBuf_.back() = lifted;
-        {
-          std::lock_guard<std::mutex> lk(maintStatsMu_);
-          ++maintStats_.rotations;
-          ++maintStats_.splaySteps;
-        }
-        zigzigArmed = true;
-        continue;
-      }
-    }
-    // Zig: lift `node` over its parent at the parent's position.
-    const PathStep ps = par;
-    const bool ok = leftChild ? tryRotateRight(ps.parent, ps.leftChild)
-                              : tryRotateLeft(ps.parent, ps.leftChild);
-    if (!ok) {
-      std::lock_guard<std::mutex> lk(maintStatsMu_);
-      ++maintStats_.failedStructuralOps;
-      break;
-    }
-    didWork = true;
-    --splayBudgetLeft_;
-    pathBuf_.pop_back();
-    parent = ps.parent;
-    leftChild = ps.leftChild;
-    {
-      std::lock_guard<std::mutex> lk(maintStatsMu_);
-      ++maintStats_.splaySteps;
-      ++maintStats_.rotations;
-      if (zigzigArmed) ++maintStats_.splayZigZigs;
-    }
-    if (obs::traceEnabled()) {
-      obs::trace(obs::TraceKind::kSplayStep,
-                 static_cast<std::uint64_t>(node->key),
-                 static_cast<std::uint64_t>(pathBuf_.size() + 1), 0,
-                 zigzigArmed ? 1 : 0);
-    }
-    zigzigArmed = false;
   }
 }
 
@@ -1222,21 +1023,6 @@ bool SFTree::rebalanceAt(SFNode* parent, SFNode* node, bool leftChild,
   node->localH = h;
 
   if (!cfg_.rotations) return heightChanged;
-  // Hot-protection slack (docs/splaying.md): the demoting rotation below
-  // would push a splay-promoted node back down, so while a node is hot its
-  // AVL bound is relaxed by `slack` levels — beyond that, balance wins
-  // (lookups of everything routed through this subtree pay the skew).
-  // Applies to sweeps too: the fallback sweep must not undo what the
-  // targeted pass just promoted.
-  if (splayEnabled_) {
-    const int imb = lh > rh ? lh - rh : rh - lh;
-    if (imb > 1 && imb <= 1 + splay_.slack &&
-        decayedHeat(node) >= splay_.minHeat) {
-      std::lock_guard<std::mutex> lk(maintStatsMu_);
-      ++maintStats_.rebalanceSkippedHot;
-      return heightChanged;
-    }
-  }
   if (lh - rh > 1) {
     // Left-heavy. If the left child leans right, first rotate it left so a
     // single right rotation at `node` balances (two node-local

@@ -67,14 +67,6 @@ struct SFNode {
   // children, which keeps the node in one cache-line block.
   int localH = 1;
 
-  // Decayed access-heat estimate driving the splay heuristic
-  // (docs/splaying.md). Same single-structural-mutator discipline as the
-  // height estimate: only the maintenance pass reads or writes these.
-  // `heat` is a saturating tick count; `heatEpoch` stamps the decay epoch it
-  // was last normalized to (heat halves once per elapsed epoch).
-  std::uint32_t heat = 0;
-  std::uint32_t heatEpoch = 0;
-
   SFNode(Key k, Value v) : key(k), value(v) {}
 };
 // The node arena rounds blocks up to whole cache lines: one byte more and
@@ -85,51 +77,6 @@ static_assert(sizeof(SFNode) <= mem::SlabArena::kBlockAlign,
 enum class OpsVariant : std::uint8_t {
   Portable,   // Algorithm 1
   Optimized,  // Algorithm 2
-};
-
-// Access-frequency-driven restructuring (semantic splaying). Off = the
-// maintenance pass only rebalances and removes, exactly as before.
-// Conservative promotes only strongly dominant hot keys with a small
-// per-pass rotation budget; Aggressive samples more, promotes on a lower
-// dominance margin, and spends a larger budget. See docs/splaying.md.
-enum class SplayPolicy : std::uint8_t {
-  Off = 0,
-  Conservative = 1,
-  Aggressive = 2,
-};
-
-// Tuning knobs behind a SplayPolicy; SFTreeConfig::splayParams() maps the
-// policy to these defaults, and tests override them directly.
-struct SplayParams {
-  // Read-path sampling: a thread publishes one access tick per 2^shift
-  // lookup hits (0 = every hit; tests use 0 for determinism).
-  std::uint32_t sampleShift = 6;
-  // Heat floor: below this decayed heat a node is never promoted and never
-  // shielded from rebalancing (the hysteresis that keeps uniform workloads
-  // churn-free — uniform traffic spreads ticks too thin to reach the floor).
-  std::uint32_t minHeat = 8;
-  // Dominance margin: promote only when heat(node) * den > heat(parent) *
-  // num, i.e. the node is num/den hotter than what it would demote.
-  std::uint32_t promoteNum = 2;
-  std::uint32_t promoteDen = 1;
-  // Never promote into the top `minDepth` levels below the sentinel: the
-  // near-root region is the whole tree's traffic funnel, and rotating it
-  // invalidates every concurrent traversal for marginal depth gain.
-  int minDepth = 2;
-  // Hot-protection slack: a hot node is exempt from demoting rotations
-  // while its AVL imbalance is within 1 + slack (beyond that, balance
-  // wins). A freshly promoted node carries the demoted root-path on one
-  // side, so its transient imbalance is on the order of its old depth; the
-  // slack must cover that window while ordinary rebalancing compacts the
-  // (cold) chain underneath it — too-tight slack makes every sweep undo
-  // the promotion. Heat decay, not this cap, is the steady-state exit.
-  int slack = 8;
-  // Per-pass ceiling on splay rotations, keeping maintenance pass latency
-  // (MaintenanceStats::passNs) bounded under hot-set migration.
-  std::uint32_t rotationBudget = 64;
-  // Heat halves once per this many nanoseconds, so yesterday's hot set
-  // cannot pin today's tree shape.
-  std::uint64_t decayHalfLifeNs = 200'000'000;  // 200 ms
 };
 
 struct SFTreeConfig {
@@ -163,40 +110,11 @@ struct SFTreeConfig {
   bool targetedMaintenance = true;
   // With targeted maintenance, every Nth pass additionally runs a full
   // depth-first sweep as a safety net for missed or stale queue entries
-  // (dropped captures, estimate drift). A pass that sweeps
-  // repairs only the kAccess entries it collected: the sweep covers the
-  // structural ones. 0 disables the periodic fallback entirely (an
-  // overflowing queue still forces one); quiesceNow() sweeps on every pass
-  // regardless.
+  // (dropped captures, estimate drift). A pass whose sweep completes
+  // repairs none of the entries it collected: the sweep covers them. 0
+  // disables the periodic fallback entirely (an overflowing queue still
+  // forces one); quiesceNow() sweeps on every pass regardless.
   int fullSweepPeriod = 64;
-  // Access-frequency splaying (docs/splaying.md). Requires rotations and
-  // targeted maintenance: the access ticks ride the violation queue and the
-  // promotions ride the maintenance rotation machinery. Ignored (treated as
-  // Off) when either is disabled.
-  SplayPolicy splay = SplayPolicy::Off;
-  // Explicit knob override for tests/benches; unset maps the policy to its
-  // built-in defaults (see SFTreeConfig::splayParams).
-  std::optional<SplayParams> splayParamsOverride;
-
-  SplayParams splayParams() const {
-    if (splayParamsOverride) return *splayParamsOverride;
-    SplayParams p;  // Conservative defaults
-    if (splay == SplayPolicy::Aggressive) {
-      // Aggressive turns up the *actuation* knobs only. Sampling stays at
-      // the Conservative 1-in-64: the per-publish cost (commit hook + queue
-      // CAS) is what the <= 2% read budget pays for, and the heat estimate
-      // is ratio-scaled by the dominance margin, so denser ticks buy
-      // nothing but read-path overhead (1-in-16 measured ~6%).
-      p.minHeat = 4;
-      p.promoteNum = 5;
-      p.promoteDen = 4;
-      p.minDepth = 1;
-      p.slack = 32;
-      p.rotationBudget = 256;
-      p.decayHalfLifeNs = 500'000'000;
-    }
-    return p;
-  }
 };
 
 struct MaintenanceStats {
@@ -218,22 +136,9 @@ struct MaintenanceStats {
   // Drained queue entries merged into an equal (key, kind) neighbour of the
   // same batch: captures that cost no repair of their own.
   std::uint64_t entriesMerged = 0;
-  // Periodic fallback sweeps deferred because the drain carried no
-  // structural violations (pure kAccess splay traffic); capped at 4x
-  // fullSweepPeriod, after which the sweep runs regardless.
+  // Periodic fallback sweeps deferred because the pass drained nothing;
+  // capped at 4x fullSweepPeriod, after which the sweep runs regardless.
   std::uint64_t sweepsDeferred = 0;
-  // --- splay heuristic (docs/splaying.md; all zero when SplayPolicy::Off) --
-  std::uint64_t accessEntriesDrained = 0;  // kAccess queue entries consumed
-  std::uint64_t accessTicksConsumed = 0;   // total sampled-tick weight folded
-                                           // into node heat
-  std::uint64_t splaySteps = 0;            // promotion rotations performed
-  std::uint64_t splayZigZigs = 0;          // the subset done as zig-zig pairs
-  std::uint64_t splayBudgetStops = 0;      // passes that hit rotationBudget
-  std::uint64_t rebalanceSkippedHot = 0;   // demoting rotations skipped by
-                                           // hot-protection slack
-  // Depth (root-path length) at which drained access entries found their
-  // node: the hot-set depth gauge — splaying should drag its mass left.
-  obs::LogHistogram accessDepth;
   // Drain-pass latency (ns per maintainOnce pass, targeted or sweep).
   obs::LogHistogram passNs;
   // Violation-queue view (see ViolationQueueStats for field meanings).
@@ -455,12 +360,10 @@ class SFTree {
   bool passesMayRun() const;  // attached and not paused
   // One maintenance pass body, bracketed by one GC epoch: collect the
   // queued entries (targeted mode), then (when `fullSweep`) a depth-first
-  // sweep, then repair the collected entries — only the kAccess ones when a
-  // sweep ran to completion, since it already covered the structural ones.
-  // A `sweepDeferrable` sweep (the periodic fallback) is skipped when the
-  // collected entries were all kAccess — splay traffic is not the kind of
-  // missed work the safety-net sweep exists to recover — until the deferral
-  // cap (4x fullSweepPeriod) forces it.
+  // sweep, then repair the collected entries unless a sweep ran to
+  // completion, since it already covered them. A `sweepDeferrable` sweep
+  // (the periodic fallback) is skipped when the pass collected nothing,
+  // until the deferral cap (4x fullSweepPeriod) forces it.
   bool maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
                     bool sweepDeferrable = false);
   // Depth-first sweep: propagates heights, triggers rotations/removals.
@@ -473,28 +376,23 @@ class SFTree {
   // Targeted path, first half: drains the violation queue into drainBuf_,
   // sorts the entries by (key, kind) (consecutive entries then share
   // maximal root-path prefixes, which processViolation reuses) and merges
-  // equal neighbours into one entry weighing the sum. Returns true when
-  // any collected entry is a structural kind (kInsert/kErase), the signal
-  // the sweep-deferral backoff keys on.
-  bool collectViolations(const std::atomic<bool>* cancel);
-  // Second half: repairs the collected entries in key order, skipping the
-  // structural ones when `accessOnly`. A cancelled repair hands every entry
-  // it has not repaired (and was not told to skip) back to the queue.
+  // equal neighbours into one entry.
+  void collectViolations(const std::atomic<bool>* cancel);
+  // Second half: repairs the collected entries in key order. A cancelled
+  // repair hands every entry it has not repaired back to the queue.
   // Returns true when structural work happened.
-  bool repairViolations(const std::atomic<bool>* cancel, bool accessOnly);
+  bool repairViolations(const std::atomic<bool>* cancel);
   // Repairs one drained queue entry. The kind selects the repair: kInsert
   // rebalances the root-path (no removal probes — any removable node has
   // its own kErase entry), kErase probes the physical removal and skips the
-  // bottom-up rebalance when nothing was unlinked (heights unchanged),
-  // kAccess folds `ticks` into the node's heat and may splay it toward the
-  // root (docs/splaying.md). With `reusePath`, the walk first follows the
-  // path recorded in pathBuf_ by the previous entry as far as it matches
-  // k's search path (valid only when that entry did no structural work —
-  // concurrent mutators only link fresh leaves, so recorded interior nodes
-  // stay on their root-paths; only this worker's own rotations/removals
-  // invalidate them).
-  void processViolation(Key k, ViolationKind kind, std::uint32_t ticks,
-                        bool& didWork, bool reusePath);
+  // bottom-up rebalance when nothing was unlinked (heights unchanged).
+  // With `reusePath`, the walk first follows the path recorded in pathBuf_
+  // by the previous entry as far as it matches k's search path (valid only
+  // when that entry did no structural work — concurrent mutators only link
+  // fresh leaves, so recorded interior nodes stay on their root-paths; only
+  // this worker's own rotations/removals invalidate them).
+  void processViolation(Key k, ViolationKind kind, bool& didWork,
+                        bool reusePath);
   // If the node hanging off (parent, leftChild) is a removable logically
   // deleted node, unlink it and load its replacement into `node`. Returns
   // true on a successful removal.
@@ -516,20 +414,6 @@ class SFTree {
   // child — `left`/`right` — so it became removable.
   void captureIfRemovable(stm::Tx& tx, SFNode* n, SFNode* left,
                           SFNode* right);
-  // Read-path side of the splay heuristic: publishes a sampled kAccess tick
-  // at commit (1 per 2^sampleShift lookup hits per thread; no-op unless
-  // splaying is enabled, so the read path pays one predictable branch).
-  void captureAccess(stm::Tx& tx, Key k);
-  // Node heat, normalized to the current decay epoch (maintenance worker
-  // only, like the height estimate).
-  std::uint32_t decayedHeat(const SFNode* n) const;
-  void bumpHeat(SFNode* n, std::uint32_t ticks);
-  // Bounded promotion loop: rotates `node` (position (parent, leftChild),
-  // ancestors in pathBuf_) toward the root while it dominates its parent's
-  // heat, preferring zig-zig pairs on aligned links. Updates the position
-  // arguments and pops the promoted levels off pathBuf_.
-  void splayPromote(SFNode*& parent, SFNode*& node, bool& leftChild,
-                    bool& didWork);
   void retireNode(SFNode* n);
 
   // In-order walker behind extractRangeTx and scanRangeTx (ExtractCtx::
@@ -555,18 +439,6 @@ class SFTree {
   ViolationQueue violations_;
   bool captureViolations_ = false;
 
-  // Splay heuristic state (docs/splaying.md). splayEnabled_ folds the
-  // policy with its prerequisites (rotations + targeted maintenance) so the
-  // read path tests one bool. The epoch/budget fields follow the
-  // maintenance-worker-only discipline of passVisited_.
-  bool splayEnabled_ = false;
-  SplayParams splay_{};
-  std::uint32_t accessSampleMask_ = 0;
-  std::uint64_t createdTick_ = 0;
-  std::uint32_t heatEpochNow_ = 0;
-  std::uint32_t splayBudgetLeft_ = 0;
-  bool splayBudgetHit_ = false;
-
   MaintenanceStats maintStats_;
   mutable std::mutex maintStatsMu_;
   // Passes since the last full sweep, and nodes visited by the current
@@ -582,13 +454,11 @@ class SFTree {
   };
   std::vector<PathStep> pathBuf_;
   // Drain batch scratch (consumer-only): entries collected per pass, sorted
-  // by (key, kind) for the shared-prefix walk reuse, one per (key, kind)
-  // with `weight` captures merged into it. passPrefixSkips_ and passMerged_
-  // accumulate the avoided steps and the merged entries and fold into
-  // maintStats_ like passVisited_.
+  // by (key, kind) for the shared-prefix walk reuse, one per (key, kind).
+  // passPrefixSkips_ and passMerged_ accumulate the avoided steps and the
+  // merged entries and fold into maintStats_ like passVisited_.
   struct DrainEntry {
     Key key;
-    std::uint32_t weight;
     ViolationKind kind;
   };
   std::vector<DrainEntry> drainBuf_;

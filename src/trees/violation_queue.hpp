@@ -23,11 +23,6 @@
 //            If the removal is refused (two children, already gone), the
 //            subtree heights did not change and the repair skips the
 //            bottom-up rebalance walk entirely.
-//   kAccess  a sampled lookup hit — no violation at all, but fuel for the
-//            access-frequency splay heuristic (docs/splaying.md): the drain
-//            folds the ticks into the node's decayed heat estimate and may
-//            promote it toward the root. Published by read-only commits,
-//            sampled 1-in-2^k per thread so the read path stays cheap.
 //
 // Design constraints and the shapes they force:
 //
@@ -51,10 +46,9 @@
 //  * No producer-side dedup. Every committed capture pushes its own entry;
 //    the drain sorts each batch by (key, kind) and merges equal neighbours
 //    (SFTree::collectViolations), so a burst of updates to one hot key
-//    still costs one repair per pass, and a merged kAccess entry weighs
-//    every sampled hit. kInsert and kErase of one key are different kinds
-//    and stay apart: an erase is never folded into an insert entry, whose
-//    repair would skip the removal.
+//    still costs one repair per pass. kInsert and kErase of one key are
+//    different kinds and stay apart: an erase is never folded into an
+//    insert entry, whose repair would skip the removal.
 //  * Bounded depth. Past kMaxDepth the enqueue drops the entry and raises a
 //    sticky overflow flag instead; the maintenance pass that observes the
 //    flag falls back to a full sweep (the safety net for anything the queue
@@ -75,7 +69,6 @@ namespace sftree::trees {
 enum class ViolationKind : std::uint8_t {
   kInsert = 0,
   kErase = 1,
-  kAccess = 2,
 };
 
 // Aggregate counters (racy snapshots; exact when the producer side is

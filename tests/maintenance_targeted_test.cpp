@@ -1,8 +1,9 @@
 // Targeted (violation-queue-fed) maintenance: convergence without full
 // sweeps, exact height estimates at the fixpoint, how a sweeping pass
 // covers the collected entries, commit-time capture and the drain's
-// per-(key, kind) merge, and the enqueue-at-commit vs drain/rotation race
-// under real concurrency (run under TSan in CI).
+// per-(key, kind) merge, the periodic sweep's backoff over empty drains,
+// and the enqueue-at-commit vs drain/rotation race under real concurrency
+// (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -176,7 +177,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // A balanced fill leaves maintenance nothing to do. quiesceNow's first pass
 // sweeps, rebuilding every height estimate bottom-up, and so covers the
-// queued inserts: no rotation, no copy-on-rotate allocation, one pass.
+// queued inserts: no rotation, no copy-on-rotate allocation, one pass, and
+// no repair walk after the sweep (each node is visited once).
 // Repairing the inserts one root-path at a time would compare fresh on-path
 // heights with off-path estimates still waiting for their own entries, and
 // rotate a tree that is already perfect.
@@ -195,6 +197,7 @@ TEST(MaintenanceTargetedTest, QuiesceAfterBalancedFillRotatesNothing) {
   const auto ms = tree.maintenanceStats();
   EXPECT_EQ(ms.rotations, 0u);
   EXPECT_EQ(ms.fullSweeps, 1u);
+  EXPECT_EQ(ms.nodesVisited, static_cast<std::uint64_t>(kKeys));
   EXPECT_EQ(tree.height(), 12);
   EXPECT_EQ(tree.arenaForStats().slabCount(), slabs);
   EXPECT_EQ(tree.violationQueueDepth(), 0u);
@@ -416,37 +419,86 @@ TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
 }
 
 // The drain merges per (key, kind): one key under two kinds is repaired
-// twice (an erase is never folded into an insert entry), and six sampled
-// hits on it drain as one access entry of weight 6.
-TEST(MaintenanceTargetedTest, KindsMergeApartAndAccessWeighsEveryHit) {
-  trees::SFTreeConfig cfg = targetedOnly();
-  cfg.splay = trees::SplayPolicy::Conservative;
-  trees::SplayParams p;
-  p.sampleShift = 0;  // every lookup hit publishes a tick
-  cfg.splayParamsOverride = p;
-  trees::SFTree tree(cfg);
+// twice (an erase is never folded into an insert entry, whose repair skips
+// the removal probe), while the repeated erase merges into one entry.
+TEST(MaintenanceTargetedTest, KindsMergeApart) {
+  trees::SFTree tree(targetedOnly());
 
   tree.insert(7, 7);  // kInsert
   tree.erase(7);      // kErase
   tree.insert(7, 7);  // revive: abstraction-only, publishes nothing
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(tree.contains(7));  // 6 kAccess
+  tree.erase(7);      // kErase again
   const auto before = tree.maintenanceStats();
-  ASSERT_EQ(before.queue.captured, 8u);
-  ASSERT_EQ(tree.violationQueueDepth(), 8u);
+  ASSERT_EQ(before.queue.captured, 3u);
+  ASSERT_EQ(tree.violationQueueDepth(), 3u);
 
   tree.runMaintenancePass();
 
   const auto after = tree.maintenanceStats();
   const std::uint64_t drained = after.queue.drained - before.queue.drained;
   const std::uint64_t merged = after.entriesMerged - before.entriesMerged;
-  const std::uint64_t accessEntries =
-      after.accessEntriesDrained - before.accessEntriesDrained;
-  EXPECT_EQ(drained, 8u);
-  EXPECT_EQ(merged, 5u);
-  EXPECT_EQ(accessEntries, 1u);
-  EXPECT_EQ(drained - merged - accessEntries, 2u);  // kInsert + kErase
-  EXPECT_EQ(after.accessTicksConsumed - before.accessTicksConsumed, 6u);
+  EXPECT_EQ(drained, 3u);
+  EXPECT_EQ(merged, 1u);
+  EXPECT_EQ(drained - merged, 2u);  // kInsert + kErase
+  EXPECT_EQ(after.removals, 1u) << "the kErase repair removes node 7";
+  EXPECT_EQ(tree.structuralSize(), 0u);
   EXPECT_EQ(tree.violationQueueDepth(), 0u);
 }
+
+// The periodic fallback sweep backs off while the queue is empty: a due
+// sweep over a pass that drained nothing is deferred, once per pass, until
+// 4x the period forces it. A pass that drained an entry sweeps on time.
+class SweepDeferralTest : public ::testing::TestWithParam<trees::OpsVariant> {};
+
+TEST_P(SweepDeferralTest, EmptyDrainDefersTheSweepUntilItsCap) {
+  constexpr int kPeriod = 4;
+  auto cfg = targetedOnly(GetParam());
+  cfg.fullSweepPeriod = kPeriod;
+  trees::SFTree tree(cfg);
+  for (Key k = 0; k < 64; ++k) tree.insert(k, k);
+  tree.quiesceNow();  // sweeps: the queue is empty and the period restarts
+  ASSERT_EQ(tree.violationQueueDepth(), 0u);
+  const auto base = tree.maintenanceStats();
+
+  for (int pass = 1; pass < 4 * kPeriod; ++pass) {
+    tree.runMaintenancePass();
+    const auto ms = tree.maintenanceStats();
+    const std::uint64_t deferred =
+        pass < kPeriod ? 0u : static_cast<std::uint64_t>(pass - kPeriod + 1);
+    EXPECT_EQ(ms.sweepsDeferred - base.sweepsDeferred, deferred)
+        << "pass " << pass;
+    EXPECT_EQ(ms.fullSweeps, base.fullSweeps) << "pass " << pass;
+  }
+  tree.runMaintenancePass();  // pass 4P: the cap forces the sweep
+  auto ms = tree.maintenanceStats();
+  EXPECT_EQ(ms.fullSweeps - base.fullSweeps, 1u);
+  EXPECT_EQ(ms.sweepsDeferred - base.sweepsDeferred,
+            static_cast<std::uint64_t>(3 * kPeriod));
+
+  // The sweep restarted the period. A pass that drains an entry sweeps as
+  // soon as the period is due.
+  for (int pass = 1; pass < kPeriod; ++pass) tree.runMaintenancePass();
+  tree.erase(63);  // the largest key: no right child, so removable
+  ASSERT_EQ(tree.violationQueueDepth(), 1u);
+  const auto beforeDue = tree.maintenanceStats();
+  EXPECT_EQ(beforeDue.fullSweeps - base.fullSweeps, 1u);
+  tree.runMaintenancePass();
+  ms = tree.maintenanceStats();
+  EXPECT_EQ(ms.fullSweeps - beforeDue.fullSweeps, 1u);
+  EXPECT_EQ(ms.sweepsDeferred, beforeDue.sweepsDeferred);
+  EXPECT_EQ(ms.removals - beforeDue.removals, 1u) << "the sweep removes 63";
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  const auto check = trees::checkSFTree(tree);
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OpsVariants, SweepDeferralTest,
+    ::testing::Values(trees::OpsVariant::Optimized,
+                      trees::OpsVariant::Portable),
+    [](const ::testing::TestParamInfo<trees::OpsVariant>& info) {
+      return info.param == trees::OpsVariant::Optimized ? "Optimized"
+                                                        : "Portable";
+    });
 
 }  // namespace

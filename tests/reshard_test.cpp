@@ -380,8 +380,8 @@ TEST(ReshardTest, ControllerSplitsHotShardAndMergesCold) {
 }
 
 // Heat-weighted split policy: two shards carry the SAME traffic volume,
-// but one concentrates it on a single key (one routing slot — the skew the
-// splay heuristic serves) while the other spreads it evenly. The raw tick
+// but one concentrates it on a single key (one routing slot) while the
+// other spreads it evenly. The raw tick
 // deltas tie, so the pre-heat policy (heatWeight = 0) must refuse to split;
 // the hottest-slot heat term breaks the tie toward the skew-hot shard.
 TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
