@@ -87,8 +87,8 @@ int main() {
   // The shard count is not fixed: splitShard moves half a hot shard's
   // routing slots onto a fresh tree (and clock domain) under live traffic,
   // mergeShards migrates a cold shard away and retires its tree + domain.
-  // ReshardController automates both from the load gauges above; here the
-  // mechanism is driven directly.
+  // Nothing splits or merges on its own: the caller picks the shard (the
+  // per-slot load gauges show where traffic lands); here it is shard 0.
   const std::size_t before = map.size();
   const int fresh = map.splitShard(0);
   std::printf("\nsplitShard(0)         : now %d shards (new index %d), "

@@ -175,7 +175,6 @@ const char* traceKindName(TraceKind k) {
     case TraceKind::kMapOp: return "map_op";
     case TraceKind::kTablePublish: return "table_publish";
     case TraceKind::kMigrationBatch: return "migration_batch";
-    case TraceKind::kReshardDecision: return "reshard_decision";
     case TraceKind::kMaintPass: return "maint_pass";
   }
   return "unknown";

@@ -38,9 +38,7 @@ enum class TraceKind : std::uint8_t {
   kMapOp = 4,      // ShardedMap op entry; a = routing-table version, b = slot
   kTablePublish = 5,    // a = new routing-table version, b = shard count
   kMigrationBatch = 6,  // a = keys moved in batch, b = routing-table version
-  kReshardDecision = 7,  // a = shard index, b = rounded load;
-                         // op = ReshardDecision::Action, cause = acted
-  kMaintPass = 8,        // a = tree id, b = pass duration ns
+  kMaintPass = 8,  // a = tree id, b = pass duration ns (7 is retired)
 };
 
 const char* traceKindName(TraceKind k);

@@ -188,30 +188,6 @@ std::vector<int> ShardedMap::slotOwners() const {
   return out;
 }
 
-std::vector<std::uint64_t> ShardedMap::slotOpTicks() const {
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(cfg_.routingSlots));
-  for (std::size_t s = 0; s < out.size(); ++s) {
-    out[s] = slotTicks_[s].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::vector<ShardLoadSample> ShardedMap::loadSamples() const {
-  std::lock_guard<std::mutex> lk(topoMu_);
-  std::vector<ShardLoadSample> out;
-  out.reserve(live_.size());
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    const trees::SFTree& tree = *live_[i]->tree;
-    ShardLoadSample s;
-    s.id = &tree;
-    s.index = static_cast<int>(i);
-    s.updateTicks = tree.updateTicks();
-    s.sizeEstimate = tree.sizeEstimate();
-    out.push_back(s);
-  }
-  return out;
-}
-
 // --------------------------------------------------------------------------
 // Dual-path (migration-aware) transactional pieces. The global invariant —
 // a key is present in at most one tree — holds because inserts only reach
@@ -884,14 +860,12 @@ ShardedMapStats ShardedMap::aggregatedStats() const {
   for (const auto& d : out.domainStats) out.stm += d;
   out.shardSizeEstimates.reserve(live_.size());
   out.shardQueueDepths.reserve(live_.size());
-  out.shardUpdateTicks.reserve(live_.size());
   for (const auto& rec : live_) {
     const trees::SFTree& s = *rec->tree;
     const auto est = s.sizeEstimate();
     out.sizeEstimate += est;
     out.shardSizeEstimates.push_back(est);
     out.shardQueueDepths.push_back(s.violationQueueDepth());
-    out.shardUpdateTicks.push_back(s.updateTicks());
     const auto m = s.maintenanceStats();
     out.maintenance.traversals += m.traversals;
     out.maintenance.fullSweeps += m.fullSweeps;

@@ -16,14 +16,13 @@
 // which keeps them atomic across shards.
 //
 // --- Dynamic re-sharding ---------------------------------------------------
-// The shard *count* adapts online (the paper's decoupling lifted one level:
-// the topology absorbs load shifts without stopping traffic). Keys hash to
-// a fixed number of routing *slots*; an immutable, epoch-published routing
-// table maps each slot to its owning tree. splitShard() moves half of a hot
-// shard's slots onto a fresh tree; mergeShards() moves all of a cold
-// shard's slots onto a sibling and retires the empty tree (and, in PerShard
-// mode, its clock domain). Migration runs in bounded batched range moves
-// (SFTree::extractRangeTx + adoptRangeTx) inside ordinary cross-domain
+// The caller can change the shard *count* online without stopping traffic.
+// Keys hash to a fixed number of routing *slots*; an immutable, epoch-
+// published routing table maps each slot to its owning tree. splitShard()
+// moves half of a hot shard's slots onto a fresh tree; mergeShards() moves all
+// of a cold shard's slots onto a sibling and retires the empty tree (and, in
+// PerShard mode, its clock domain). Migration runs in bounded batched range
+// moves (SFTree::extractRangeTx + adoptRangeTx) inside ordinary cross-domain
 // transactions, so every key is owned by exactly one committed shard at any
 // instant; while a slot migrates its table entry carries both trees and
 // lookups check the pair inside one transaction. The routing-table pointer
@@ -120,13 +119,9 @@ struct ShardedMapStats {
   // scheduler prioritizes on, exposed for dashboards/tests. The summed
   // queue counters (enqueued/drained/latency) are in maintenance.queue.
   std::vector<std::uint64_t> shardQueueDepths;
-  // Per-shard monotonic update counters (racy snapshots) — the traffic
-  // gauge the ReshardController differentiates between samples.
-  std::vector<std::uint64_t> shardUpdateTicks;
   // Per-routing-slot operation counters (racy snapshots): every *attempt*
-  // of a single-key operation bumps its slot, so the gauges measure where
-  // the traffic lands — including retried attempts, like updateTicks — not
-  // committed mutations. Indexed by slot, size == routingSlots.
+  // of a single-key operation bumps its slot, retries included, so the
+  // gauges count traffic, not committed mutations. Size == routingSlots.
   std::vector<std::uint64_t> slotOpTicks;
   // STM statistics per clock domain: one entry per shard in PerShard mode,
   // a single entry for the shared domain otherwise. Snapshots are exact
@@ -154,16 +149,6 @@ struct ReshardStats {
   // Wall time of each migration batch transaction (the extract+adopt unit
   // of work a split/merge interleaves with live traffic).
   obs::LogHistogram migrationBatchNs;
-};
-
-// Per-shard load sample for re-sharding policy (see ReshardController).
-struct ShardLoadSample {
-  // Stable identity across samples while the shard lives (the tree's
-  // address — shard *indexes* shift under splits/merges).
-  const void* id = nullptr;
-  int index = 0;  // current index, valid until the next split/merge
-  std::uint64_t updateTicks = 0;
-  std::int64_t sizeEstimate = 0;
 };
 
 class ShardedMap final : public trees::ITransactionalMap {
@@ -200,8 +185,9 @@ class ShardedMap final : public trees::ITransactionalMap {
 
   // --- quiesced introspection ----------------------------------------------
   // Serialized against re-sharding (they take the reshard mutex), so they
-  // are safe to call while a ReshardController is attached — but the usual
-  // quiesced-use contract vs concurrent abstract operations still applies.
+  // are safe to call while a split or merge runs on another thread — but
+  // the usual quiesced-use contract vs concurrent abstract operations
+  // still applies.
   std::size_t size() override;
   int height() override;  // max shard height
   std::vector<Key> keysInOrder() override;
@@ -242,12 +228,6 @@ class ShardedMap final : public trees::ITransactionalMap {
   // Current slot -> shard-index assignment (racy snapshot; slots mid-
   // migration report their new owner).
   std::vector<int> slotOwners() const;
-  // Racy per-slot traffic snapshot (ShardedMapStats::slotOpTicks) without
-  // the full aggregatedStats walk — the re-sharding heat policy samples it
-  // every period, so it must stay a plain counter sweep.
-  std::vector<std::uint64_t> slotOpTicks() const;
-  // Racy per-shard load snapshot for the re-sharding policy.
-  std::vector<ShardLoadSample> loadSamples() const;
 
   // Splits shard `idx`: half of its routing slots migrate onto a freshly
   // created tree (and domain, in PerShard mode) while traffic continues.

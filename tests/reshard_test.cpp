@@ -2,8 +2,8 @@
 // Covers key conservation and routing consistency across split/merge,
 // linearizable lookups while migration races concurrent insert/erase/move
 // (the token-count invariant), domain retirement in PerShard mode, and the
-// ReshardController policy (split on a hot shard, merge when cold). The
-// ThreadSanitizer CI job runs the churn tests like every suite.
+// load-aware slot selection of a split. The ThreadSanitizer CI job runs
+// the churn tests like every suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 
 #include "bench_core/rng.hpp"
 #include "shard/maintenance_scheduler.hpp"
-#include "shard/reshard.hpp"
 #include "shard/sharded_map.hpp"
 #include "trees/tree_checks.hpp"
 
@@ -26,15 +25,6 @@ using sftree::Value;
 using sftree::bench::Rng;
 
 namespace {
-
-// First `count` keys (ascending) currently routed to shard `idx`.
-std::vector<Key> keysForShard(shard::ShardedMap& map, int idx, int count) {
-  std::vector<Key> out;
-  for (Key k = 0; static_cast<int>(out.size()) < count; ++k) {
-    if (map.shardIndexFor(k) == idx) out.push_back(k);
-  }
-  return out;
-}
 
 TEST(ReshardTest, SplitConservesKeysAndPartition) {
   shard::MaintenanceScheduler scheduler;
@@ -328,123 +318,6 @@ TEST(ReshardTest, ComposedTransactionsSpanMigration) {
 
   map.quiesce();
   EXPECT_EQ(map.size(), 100u);
-}
-
-TEST(ReshardTest, ControllerSplitsHotShardAndMergesCold) {
-  shard::MaintenanceScheduler scheduler;
-  shard::ShardedMapConfig cfg;
-  cfg.shards = 2;
-  cfg.routingSlots = 32;
-  cfg.scheduler = &scheduler;
-  shard::ShardedMap map(cfg);
-
-  shard::ReshardControllerConfig rcfg;
-  rcfg.minShards = 2;
-  rcfg.maxShards = 3;
-  rcfg.splitFactor = 1.5;
-  rcfg.mergeFactor = 0.5;
-  rcfg.minOpsPerSample = 256;
-  shard::ReshardController ctl(map, rcfg);
-
-  // Baseline sample (tick deltas need a previous reading).
-  ctl.sampleAndAct();
-
-  // Hammer shard 0 only: its interval load dwarfs the fair share.
-  for (int round = 0; round < 4 && map.shardCount() < 3; ++round) {
-    const auto hotKeys = keysForShard(map, 0, 64);
-    for (int i = 0; i < 50; ++i) {
-      for (const Key k : hotKeys) {
-        map.insert(k, k);
-        map.erase(k);
-      }
-    }
-    ctl.sampleAndAct();
-  }
-  EXPECT_GE(ctl.stats().splits, 1u);
-  EXPECT_GE(map.shardCount(), 3);
-
-  // Single-hot traffic at the shard ceiling: the split branch is capped
-  // out, the two idle shards together fall below the merge threshold, and
-  // the coldest pair merges.
-  for (int round = 0; round < 8 && ctl.stats().merges == 0; ++round) {
-    const auto hotKeys = keysForShard(map, 0, 64);
-    for (int i = 0; i < 20; ++i) {
-      for (const Key k : hotKeys) {
-        map.insert(k, k);
-        map.erase(k);
-      }
-    }
-    ctl.sampleAndAct();
-  }
-  EXPECT_GE(ctl.stats().merges, 1u);
-}
-
-// Heat-weighted split policy: two shards carry the SAME traffic volume,
-// but one concentrates it on a single key (one routing slot) while the
-// other spreads it evenly. The raw tick
-// deltas tie, so the pre-heat policy (heatWeight = 0) must refuse to split;
-// the hottest-slot heat term breaks the tie toward the skew-hot shard.
-TEST(ReshardTest, HeatWeightedSplitPrefersSkewHotShard) {
-  shard::MaintenanceScheduler scheduler;
-  shard::ShardedMapConfig cfg;
-  cfg.shards = 2;
-  cfg.routingSlots = 32;
-  cfg.scheduler = &scheduler;
-  shard::ShardedMap map(cfg);
-
-  const Key hotKey = keysForShard(map, 0, 1).front();
-  const auto spreadKeys = keysForShard(map, 1, 64);
-  auto hammer = [&] {
-    for (int i = 0; i < 3'000; ++i) {
-      map.insert(hotKey, 1);
-      map.erase(hotKey);
-    }
-    const int reps = 3'000 / static_cast<int>(spreadKeys.size());
-    for (int i = 0; i < reps; ++i) {
-      for (const Key k : spreadKeys) {
-        map.insert(k, 1);
-        map.erase(k);
-      }
-    }
-  };
-
-  shard::ReshardControllerConfig rcfg;
-  rcfg.minShards = 2;
-  rcfg.maxShards = 3;
-  rcfg.splitFactor = 1.2;
-  rcfg.mergeFactor = 0.0;  // merges off: this test is about the split score
-  rcfg.minOpsPerSample = 1024;
-
-  {
-    rcfg.heatWeight = 0.0;
-    shard::ReshardController ctl(map, rcfg);
-    ctl.sampleAndAct();  // baseline reading
-    hammer();
-    EXPECT_FALSE(ctl.sampleAndAct())
-        << "equal volume without the heat term must not cross splitFactor";
-    EXPECT_EQ(ctl.stats().splits, 0u);
-  }
-
-  // Drain the violation backlog the first round left queued, so the second
-  // round starts from the same idle trees as the first.
-  map.quiesce();
-
-  {
-    rcfg.heatWeight = 1.0;
-    shard::ReshardController ctl(map, rcfg);
-    ctl.sampleAndAct();  // baseline reading
-    hammer();
-    EXPECT_TRUE(ctl.sampleAndAct());
-    EXPECT_EQ(ctl.stats().splits, 1u);
-    const auto log = ctl.decisionLog();
-    ASSERT_FALSE(log.empty());
-    const auto& d = log.back();
-    EXPECT_EQ(d.action, shard::ReshardDecision::Action::kSplit);
-    EXPECT_EQ(d.shard, 0) << "the skew-hot shard must win the split";
-    EXPECT_TRUE(d.acted);
-    EXPECT_GT(d.hotSlotHeat, 0.0);
-  }
-  EXPECT_EQ(map.shardCount(), 3);
 }
 
 // Load-aware slot selection: splitShard ranks the victim's slots by their
