@@ -1,5 +1,7 @@
 #include "mem/arena.hpp"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstdint>
 
@@ -32,12 +34,25 @@ SlabArena::SlabArena(std::size_t blockSize)
 }
 
 SlabArena::~SlabArena() {
-  // Blocks are freed wholesale with their slabs; nodes must already be
+  // Blocks are freed wholesale with their runs; nodes must already be
   // destroyed (the structures' nodes are trivially destructible, and the
   // limbo lists run their deleters before the arena member is destroyed).
-  for (void* slab : slabs_) {
-    ::operator delete(slab, std::align_val_t{kSlabBytes});
-  }
+  for (void* run : runs_) ::munmap(run, kRunBytes);
+}
+
+void* SlabArena::mapRun() {
+  // Map one slab more than the run, then unmap the misaligned head and
+  // whatever lies past the aligned run.
+  constexpr std::size_t kMapBytes = kRunBytes + kSlabBytes;
+  void* raw = ::mmap(nullptr, kMapBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto base = reinterpret_cast<std::uintptr_t>(raw);
+  const std::size_t head = roundUp(base, kSlabBytes) - base;
+  auto* run = static_cast<unsigned char*>(raw) + head;
+  if (head != 0) ::munmap(raw, head);
+  ::munmap(run + kRunBytes, kMapBytes - head - kRunBytes);
+  return run;
 }
 
 std::size_t SlabArena::threadShard() {
@@ -89,10 +104,12 @@ SlabArena::Chain SlabArena::carve() {
   {
     std::lock_guard<std::mutex> lk(slabMu_);
     if (bumpNext_ == bumpEnd_) {
-      auto* slab = static_cast<unsigned char*>(
-          ::operator new(kSlabBytes, std::align_val_t{kSlabBytes}));
+      constexpr std::size_t kSlabsPerRun = kRunBytes / kSlabBytes;
+      if (slabs_ % kSlabsPerRun == 0) runs_.push_back(mapRun());
+      auto* slab = static_cast<unsigned char*>(runs_.back()) +
+                   (slabs_ % kSlabsPerRun) * kSlabBytes;
+      ++slabs_;
       new (slab) SlabHeader{this};
-      slabs_.push_back(slab);
       bumpNext_ = slab + kBlockAlign;  // blocks start at the next line
       bumpEnd_ = slab + ((kSlabBytes - kBlockAlign) / stride_) * stride_ +
                  kBlockAlign;
@@ -142,7 +159,7 @@ void SlabArena::recycle(void* p) {
 
 std::size_t SlabArena::slabCount() const {
   std::lock_guard<std::mutex> lk(slabMu_);
-  return slabs_.size();
+  return slabs_;
 }
 
 std::uint64_t SlabArena::allocated() const {

@@ -9,7 +9,11 @@
 //
 //   * slabs: 64 KiB chunks, aligned to their own size, carved into
 //     cache-line-aligned blocks of one fixed stride — no per-block header,
-//     adjacent allocations are adjacent in memory;
+//     adjacent allocations are adjacent in memory. Slabs are cut in turn
+//     from 1 MiB runs mapped straight from the OS (mmap, trimmed to slab
+//     alignment): an aligned ::operator new per slab cost about 8 KiB of
+//     glibc padding per 64 KiB slab. A run's pages become resident only as
+//     its slabs are carved and written;
 //   * per-thread free-list shards with adoption: a free goes onto the
 //     calling thread's shard (one of several independently locked lists),
 //     so concurrent allocation/retirement does not serialize on one lock.
@@ -38,9 +42,11 @@
 // global allocator before (or by an aborted transaction's rollback, for a
 // node no other thread ever saw). Moving a free block between shards does
 // not change when it became free. The arena never returns memory to the OS
-// while alive; slabs are freed wholesale in the destructor — for a shard
-// retired by a merge, only after ThreadRegistry::synchronize() has waited
-// out every bracket that could still reach the tree.
+// while alive; the destructor unmaps its runs wholesale, so a destroyed
+// structure's slabs go back to the OS instead of staying in the allocator's
+// heap — for a shard retired by a merge, only after
+// ThreadRegistry::synchronize() has waited out every bracket that could
+// still reach the tree.
 #pragma once
 
 #include <atomic>
@@ -59,6 +65,8 @@ class SlabArena {
   // an idle structure wastes little. Must be a power of two — recycle()
   // masks a block pointer down to its slab base.
   static constexpr std::size_t kSlabBytes = std::size_t{1} << 16;
+  // Slabs are carved from runs of this size, one mmap each.
+  static constexpr std::size_t kRunBytes = std::size_t{1} << 20;
   static constexpr std::size_t kBlockAlign = 64;  // cache line
   static constexpr std::size_t kFreeShards = 8;   // power of two
   // Blocks handed from the bump region to a free shard per refill, so a
@@ -131,8 +139,12 @@ class SlabArena {
   // Takes the whole list of the first other shard holding at least
   // kAdoptMin blocks; an empty chain when none does.
   Chain adopt(const FreeShard& own);
-  // Carves up to kRefillBatch fresh blocks from the bump region.
+  // Carves up to kRefillBatch fresh blocks from the bump region, which
+  // moves to the next slab of the newest run (mapping a run when it is
+  // used up) once it is empty.
   Chain carve();
+  // Maps one kRunBytes run aligned to kSlabBytes.
+  static void* mapRun();
   // Locks `shard`, hands out `c`'s first block and splices the rest onto
   // the shard's list.
   static void* takeOneSpliceRest(FreeShard& shard, Chain c);
@@ -144,8 +156,9 @@ class SlabArena {
 
   FreeShard shards_[kFreeShards];
 
-  mutable std::mutex slabMu_;  // guards slabs_ and the bump region
-  std::vector<void*> slabs_;
+  mutable std::mutex slabMu_;  // guards the runs and the bump region
+  std::vector<void*> runs_;    // kRunBytes each, unmapped by the destructor
+  std::size_t slabs_ = 0;      // slabs carved so far, across the runs
   unsigned char* bumpNext_ = nullptr;
   unsigned char* bumpEnd_ = nullptr;
 };

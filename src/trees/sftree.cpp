@@ -646,7 +646,8 @@ void SFTree::captureViolation(stm::Tx& tx, Key k, ViolationKind kind) {
   // Runs when the (outermost, for composed operations) transaction commits;
   // dropped on abort. The hook captures only the key — entries must not
   // dangle into nodes the maintenance side may retire.
-  tx.onCommit([this, k, kind] { violations_.publish(k, kind); });
+  tx.onCommit(
+      [this, k, kind] { violations_.publish(k, kind, sizeEstimate()); });
 }
 
 void SFTree::captureIfRemovable(stm::Tx& tx, SFNode* n, SFNode* left,
@@ -745,6 +746,7 @@ bool SFTree::passesMayRun() const {
 bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
   bool fullSweep = !cfg_.targetedMaintenance;
   bool sweepDeferrable = false;
+  bool overflowSweep = false;
   if (!fullSweep) {
     // Periodic fallback sweep: the safety net for anything the queue could
     // not carry — dropped captures on overflow, estimate drift. The
@@ -760,9 +762,14 @@ bool SFTree::runMaintenancePass(const std::atomic<bool>* cancel) {
     if (violations_.consumeOverflow()) {
       fullSweep = true;
       sweepDeferrable = false;
+      overflowSweep = true;
     }
   }
-  return maintainOnce(cancel, fullSweep, sweepDeferrable);
+  const bool didWork = maintainOnce(cancel, fullSweep, sweepDeferrable);
+  // The queue dropped every capture since the overflow; a sweep the cancel
+  // may have stopped short does not cover them, so the next pass sweeps.
+  if (overflowSweep && isCancelled(cancel)) violations_.raiseOverflow();
+  return didWork;
 }
 
 bool SFTree::maintainOnce(const std::atomic<bool>* cancel, bool fullSweep,
@@ -865,7 +872,7 @@ bool SFTree::repairViolations(const std::atomic<bool>* cancel) {
     if (cancelled) {
       // Cancelled mid-batch: hand the unrepaired tail back to the queue so
       // the next pass (or quiesceNow) repairs it.
-      violations_.publish(e.key, e.kind);
+      violations_.publish(e.key, e.kind, sizeEstimate());
       continue;
     }
     bool entryWork = false;
@@ -1142,6 +1149,7 @@ obs::MetricsRegistry::Registration SFTree::registerMetrics(
               static_cast<double>(violationQueueDepth()));
     out.gauge("limbo_pending", static_cast<double>(limboPending()));
     obs::emitArenaStats(out, "arena", arenaForStats());
+    obs::emitArenaStats(out, "queue_arena", violations_.arenaForStats());
   });
 }
 

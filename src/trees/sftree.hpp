@@ -265,7 +265,8 @@ class SFTree {
   MaintenanceStats maintenanceStats() const;
 
   // Registers this tree's snapshot metrics (maintenance counters incl. the
-  // drain-pass histogram, queue occupancy, size estimate, arena footprint)
+  // drain-pass histogram, queue occupancy, size estimate, and the node and
+  // violation-queue arenas' footprints as "arena.*" and "queue_arena.*")
   // under "<prefix>." in `reg`. The tree must outlive the registration.
   [[nodiscard]] obs::MetricsRegistry::Registration registerMetrics(
       obs::MetricsRegistry& reg, std::string prefix);

@@ -49,13 +49,23 @@
 //    still costs one repair per pass. kInsert and kErase of one key are
 //    different kinds and stay apart: an erase is never folded into an
 //    insert entry, whose repair would skip the removal.
-//  * Bounded depth. Past kMaxDepth the enqueue drops the entry and raises a
-//    sticky overflow flag instead; the maintenance pass that observes the
-//    flag falls back to a full sweep (the safety net for anything the queue
-//    missed). A tree mutated heavily while its maintenance is stopped
-//    therefore wastes bounded memory.
+//  * Bounded depth, derived from the tree. The cap is capFor(n) =
+//    max(kMinCap, n/8) for a tree of n keys: a sorted batch of k distinct
+//    keys walks about k(log2(n/k) + 2) nodes, a full sweep's n near
+//    k = n/4, so past n/8 such entries the sweep the overflow forces costs
+//    no more than the targeted drain would (duplicates merge, so they
+//    drain cheaper than that). A publish at the cap drops the entry and
+//    raises a sticky overflow flag; while the flag is up every capture is
+//    dropped, since the pass that consumes the flag falls back to a full
+//    sweep that covers them all. The cap rises with n, so without that a
+//    fill with maintenance stopped would refill the queue up to n/8 after
+//    its first overflow (2^18 entries for 2^21 keys instead of 2^16). A
+//    tree mutated heavily while its maintenance is stopped therefore holds
+//    at most the cap it first overflowed at, and the drain buffer of the
+//    next pass no more.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -92,7 +102,20 @@ struct ViolationQueueStats {
 class ViolationQueue {
  public:
   static constexpr std::size_t kShards = 8;  // power of two
-  static constexpr std::uint64_t kMaxDepth = std::uint64_t{1} << 20;
+  // The cap's floor, the cap itself while n/8 is below it. It sits above
+  // the deepest queue measured on such trees in sfbench with a maintenance
+  // worker running (51,343 entries in a serve-zipf-read build, 49,385 in a
+  // ckpt-move restore), and 2^17 would add 6 MiB to what a 2^18-key fill
+  // with maintenance stopped leaves resident (docs/maintenance.md).
+  static constexpr std::uint64_t kMinCap = std::uint64_t{1} << 16;
+
+  // Depth cap for a tree of `treeSize` keys (a negative estimate counts
+  // as 0).
+  static std::uint64_t capFor(std::int64_t treeSize) {
+    const auto n =
+        static_cast<std::uint64_t>(std::max<std::int64_t>(treeSize, 0));
+    return std::max(kMinCap, n / 8);
+  }
 
   ViolationQueue() = default;
   ViolationQueue(const ViolationQueue&) = delete;
@@ -109,10 +132,15 @@ class ViolationQueue {
     }
   }
 
-  // Producer side (commit hooks, any thread). Past kMaxDepth the capture
-  // is dropped and the overflow flag raised.
-  void publish(Key k, ViolationKind kind) {
-    if (depth() >= kMaxDepth) {
+  // Producer side (commit hooks, any thread); `treeSize` is the tree's
+  // size estimate. At capFor(treeSize), or while the overflow flag is up,
+  // the capture is dropped. Every dropping publisher raises the flag with a
+  // read-modify-write, even when it is already up: if the consumer cleared
+  // it first, the flag goes up again; otherwise the consumer's exchange
+  // reads this write, so the sweep it forces sees the dropped update.
+  void publish(Key k, ViolationKind kind, std::int64_t treeSize) {
+    if (overflow_.load(std::memory_order_relaxed) ||
+        depth() >= capFor(treeSize)) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       if (!overflow_.exchange(true, std::memory_order_acq_rel)) {
         overflows_.fetch_add(1, std::memory_order_relaxed);
@@ -173,6 +201,8 @@ class ViolationQueue {
   bool consumeOverflow() {
     return overflow_.exchange(false, std::memory_order_acq_rel);
   }
+  // Puts a consumed flag back: the sweep it forced did not complete.
+  void raiseOverflow() { overflow_.store(true, std::memory_order_release); }
 
   ViolationQueueStats stats() const {
     ViolationQueueStats out;
@@ -185,6 +215,9 @@ class ViolationQueue {
         drainLatencyUsSum_.load(std::memory_order_relaxed);
     return out;
   }
+
+  // The entries' arena (footprint diagnostics).
+  const mem::SlabArena& arenaForStats() const { return arena_; }
 
  private:
   struct Entry {

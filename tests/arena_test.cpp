@@ -51,7 +51,8 @@ TEST(SlabArenaTest, BlocksAreDistinctAndAligned) {
   mem::SlabArena arena(24);
   std::set<void*> seen;
   std::vector<void*> blocks;
-  for (int i = 0; i < 5000; ++i) {
+  constexpr int kBlocks = 40'000;
+  for (int i = 0; i < kBlocks; ++i) {
     void* p = arena.allocate();
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) %
                   mem::SlabArena::kBlockAlign,
@@ -59,10 +60,12 @@ TEST(SlabArenaTest, BlocksAreDistinctAndAligned) {
     EXPECT_TRUE(seen.insert(p).second) << "duplicate live block";
     blocks.push_back(p);
   }
-  EXPECT_EQ(arena.liveBlocks(), 5000);
+  EXPECT_EQ(arena.liveBlocks(), kBlocks);
   for (void* p : blocks) mem::SlabArena::recycle(p);
   EXPECT_EQ(arena.liveBlocks(), 0);
-  EXPECT_GT(arena.slabCount(), 1u);  // 5000 blocks do not fit one slab
+  // 40 slabs: more than one run's worth.
+  EXPECT_GT(arena.slabCount(),
+            mem::SlabArena::kRunBytes / mem::SlabArena::kSlabBytes);
 }
 
 TEST(SlabArenaTest, RecycleRoutesToOwningArenaFromForeignThread) {

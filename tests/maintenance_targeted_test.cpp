@@ -2,8 +2,9 @@
 // sweeps, exact height estimates at the fixpoint, how a sweeping pass
 // covers the collected entries, commit-time capture and the drain's
 // per-(key, kind) merge, the periodic sweep's backoff over empty drains,
-// and the enqueue-at-commit vs drain/rotation race under real concurrency
-// (run under TSan in CI).
+// the queue's size-derived cap and the sweep its overflow forces, and the
+// enqueue-at-commit vs drain/rotation race under real concurrency (run
+// under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "trees/sftree.hpp"
 #include "trees/tree_checks.hpp"
 #include "trees/violation_queue.hpp"
 
+namespace obs = sftree::obs;
 namespace trees = sftree::trees;
 using sftree::Key;
 
@@ -67,6 +70,15 @@ std::size_t staleHeights(trees::SFTree& tree) {
   std::size_t stale = 0;
   realHeight(tree.rootForTest()->left.loadAcquire(), stale);
   return stale;
+}
+
+// Value of the counter or gauge `name` in a collect() of `reg`.
+double metricValue(const obs::MetricsRegistry& reg, const std::string& name) {
+  for (const obs::Metric& m : reg.collect()) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
 }
 
 double log2OfAtLeastOne(std::size_t n) {
@@ -389,11 +401,15 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The violation queue itself: producer/consumer counters stay consistent
-// under concurrent publishes, and every capture is enqueued.
+// under concurrent publishes, and every capture is enqueued (the tree size
+// passed in puts the cap at exactly the captures).
 TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
   trees::ViolationQueue q;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20'000;
+  constexpr std::int64_t kTreeSize = 8 * kThreads * kPerThread;
+  ASSERT_EQ(trees::ViolationQueue::capFor(kTreeSize),
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -401,7 +417,7 @@ TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
       std::mt19937_64 rng(5 + t);
       for (int i = 0; i < kPerThread; ++i) {
         q.publish(static_cast<Key>(rng() % 512),
-                  trees::ViolationKind::kInsert);
+                  trees::ViolationKind::kInsert, kTreeSize);
       }
     });
   }
@@ -416,6 +432,44 @@ TEST(MaintenanceTargetedTest, QueueCountersConsistentUnderConcurrentPublish) {
   EXPECT_EQ(st.enqueued, st.captured);
   EXPECT_EQ(st.drained, consumed);
   EXPECT_EQ(q.depth(), 0u);
+}
+
+// The cap is max(2^16, n/8) for a tree of n keys. A publish at the cap
+// raises the overflow flag once; while the flag is up every capture is
+// dropped until consumeOverflow(), even after the tree grew enough for its
+// cap to admit more (a fill with maintenance stopped).
+TEST(MaintenanceTargetedTest, QueueOverflowDropsUntilTheFlagIsConsumed) {
+  constexpr std::uint64_t kMin = trees::ViolationQueue::kMinCap;
+  EXPECT_EQ(trees::ViolationQueue::capFor(-5), kMin);
+  EXPECT_EQ(trees::ViolationQueue::capFor(8 * kMin - 8), kMin);
+  EXPECT_EQ(trees::ViolationQueue::capFor(std::int64_t{1} << 21),
+            std::uint64_t{1} << 18);
+
+  trees::ViolationQueue q;
+  constexpr std::uint64_t kPast = 10;
+  for (std::uint64_t i = 0; i < kMin + kPast; ++i) {
+    q.publish(static_cast<Key>(i), trees::ViolationKind::kInsert, 0);
+  }
+  auto st = q.stats();
+  EXPECT_EQ(q.depth(), kMin);
+  EXPECT_EQ(st.overflows, 1u);
+  EXPECT_EQ(st.dropped, kPast);
+
+  // The tree grew past 8 x 2^16 keys: its cap admits more, but the flag is
+  // still up and the sweep it forces covers the capture.
+  constexpr std::int64_t kGrown = 16 * static_cast<std::int64_t>(kMin);
+  ASSERT_GT(trees::ViolationQueue::capFor(kGrown), q.depth());
+  q.publish(1, trees::ViolationKind::kErase, kGrown);
+  st = q.stats();
+  EXPECT_EQ(q.depth(), kMin);
+  EXPECT_EQ(st.dropped, kPast + 1);
+  EXPECT_EQ(st.overflows, 1u);
+
+  EXPECT_TRUE(q.consumeOverflow());
+  q.publish(2, trees::ViolationKind::kErase, kGrown);
+  EXPECT_EQ(q.depth(), kMin + 1);
+  EXPECT_EQ(q.stats().dropped, kPast + 1);
+  EXPECT_FALSE(q.consumeOverflow());
 }
 
 // The drain merges per (key, kind): one key under two kinds is repaired
@@ -494,6 +548,65 @@ TEST_P(SweepDeferralTest, EmptyDrainDefersTheSweepUntilItsCap) {
 
 INSTANTIATE_TEST_SUITE_P(
     OpsVariants, SweepDeferralTest,
+    ::testing::Values(trees::OpsVariant::Optimized,
+                      trees::OpsVariant::Portable),
+    [](const ::testing::TestParamInfo<trees::OpsVariant>& info) {
+      return info.param == trees::OpsVariant::Optimized ? "Optimized"
+                                                        : "Portable";
+    });
+
+// A fill past the queue's cap with maintenance stopped: at 2^17 keys the
+// cap is its 2^16 floor, the rest of the captures are dropped, and the next
+// pass covers them with the sweep the overflow forces.
+class QueueOverflowTest : public ::testing::TestWithParam<trees::OpsVariant> {
+ protected:
+  static constexpr Key kKeys = Key{1} << 17;
+  static constexpr std::uint64_t kCap = trees::ViolationQueue::kMinCap;
+};
+
+TEST_P(QueueOverflowTest, FillPastTheCapSweepsOnce) {
+  trees::SFTree tree(targetedOnly(GetParam()));
+  obs::MetricsRegistry reg;
+  const auto registration = tree.registerMetrics(reg, "tree");
+  fillLevelOrder(tree, kKeys);
+
+  const auto filled = tree.maintenanceStats();
+  EXPECT_EQ(tree.violationQueueDepth(), kCap);
+  EXPECT_EQ(filled.queue.overflows, 1u);
+  EXPECT_EQ(filled.queue.dropped, static_cast<std::uint64_t>(kKeys) - kCap);
+  // 2^16 entries in 64-byte blocks, 1,023 to a 64 KiB slab (its first line
+  // holds the slab header).
+  EXPECT_LE(metricValue(reg, "tree.queue_arena.slabs"), 65.0);
+
+  tree.runMaintenancePass();
+  const auto swept = tree.maintenanceStats();
+  EXPECT_EQ(swept.fullSweeps - filled.fullSweeps, 1u);
+  EXPECT_EQ(tree.violationQueueDepth(), 0u);
+  EXPECT_EQ(staleHeights(tree), 0u);
+}
+
+// The forced sweep consumes the flag before it starts. A cancel that stops
+// it short (the tree's own driver stopping, a shared scheduler shutting
+// down) must put the flag back, or the dropped captures would wait for a
+// periodic sweep (never, at period 0).
+TEST_P(QueueOverflowTest, CancelledOverflowSweepKeepsTheFlag) {
+  trees::SFTree tree(targetedOnly(GetParam()));
+  fillLevelOrder(tree, kKeys);
+  ASSERT_EQ(tree.maintenanceStats().queue.overflows, 1u);
+
+  const std::atomic<bool> cancel{true};
+  tree.runMaintenancePass(&cancel);
+  const auto cancelled = tree.maintenanceStats();
+  tree.runMaintenancePass();
+  EXPECT_EQ(tree.maintenanceStats().fullSweeps - cancelled.fullSweeps, 1u)
+      << "the dropped captures still need a sweep";
+
+  tree.quiesceNow();
+  EXPECT_EQ(staleHeights(tree), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OpsVariants, QueueOverflowTest,
     ::testing::Values(trees::OpsVariant::Optimized,
                       trees::OpsVariant::Portable),
     [](const ::testing::TestParamInfo<trees::OpsVariant>& info) {
